@@ -117,9 +117,9 @@ type (
 	FlowIdentification = flow.FlowIdentification
 	// CaptureStats summarizes one ingested packet capture.
 	CaptureStats = flow.CaptureStats
-	// CaptureOptions tunes capture ingestion (tracker bounds,
-	// classification parallelism, optional per-stage span recording).
-	CaptureOptions = flow.IdentifyOptions
+	// CaptureOptions tunes capture ingestion: the same options as
+	// StreamOptions, since IdentifyCapture drains an identify stream.
+	CaptureOptions = flow.IdentifyStreamOptions
 	// StreamOptions tunes Identifier.IdentifyStream (decode sharding,
 	// ingest ring size, tracker bounds, pairing depth).
 	StreamOptions = flow.IdentifyStreamOptions
@@ -272,8 +272,9 @@ func (id *Identifier) IdentifyBatch(jobs []BatchJob, opts BatchOptions) []BatchR
 // stream: decode, per-flow TCP reassembly and congestion-window
 // reconstruction, environment pairing, and classification -- the
 // capture-ingestion counterpart of Identify for traffic that was recorded
-// rather than probed. The stream is decoded incrementally in bounded
-// memory. See cmd/caai-pcap for the command-line front end and the
+// rather than probed. It drains IdentifyStream to end of input and
+// returns the pairs in capture order, each with its stage spans in
+// ID.Timings. See cmd/caai-pcap for the command-line front end and the
 // service's POST /v1/pcap for the HTTP one.
 func (id *Identifier) IdentifyCapture(r io.Reader, opts CaptureOptions) ([]FlowIdentification, CaptureStats, error) {
 	return flow.IdentifyCapture(r, id.model, opts)
@@ -285,7 +286,9 @@ func (id *Identifier) IdentifyCapture(r io.Reader, opts CaptureOptions) ([]FlowI
 // from the pipeline's emitter goroutine -- for each flow pair the moment
 // it closes, rather than at end of input. Flows close when idle past the
 // expiry threshold, when evicted by the tracker bound, or when Close
-// drains the pipeline. Decode parallelizes across 4-tuple shards; every
+// drains the pipeline. Decode, pairing and classification parallelize
+// across shards keyed by address pair, so all of a (client IP, server)
+// group's flows meet on one shard and pair in flow-start order; every
 // pipeline stage is bounded, so Write blocks (backpressure) instead of
 // growing memory when classification falls behind. Callers must Close
 // (or Abort) the stream exactly once. See cmd/caai-pcap -follow and the

@@ -51,8 +51,8 @@ func run(args []string, stdout io.Writer) error {
 	conditions := fs.Int("conditions", 25, "training conditions per (algorithm, wmax) pair when no -model is given")
 	seed := fs.Int64("seed", 1, "random seed (training and -gen)")
 	jsonOut := fs.Bool("json", false, "emit JSON instead of the table")
-	parallelism := fs.Int("parallelism", 0, "classification parallelism (0 = all CPUs)")
-	timings := fs.Bool("timings", false, "record and report per-stage wall-clock timings (decode, feature, classify)")
+	parallelism := fs.Int("parallelism", 0, "pipeline shards for decode, pairing and classification (0 = all CPUs)")
+	timings := fs.Bool("timings", false, "report per-stage wall-clock timings (decode, feature, classify)")
 	maxFlows := fs.Int("max-flows", 0, "bound on concurrently tracked flows (0 = default)")
 	follow := fs.Bool("follow", false, "stream continuously: classify and print each flow as it closes (idle flows expire) instead of waiting for end of input; suits endless live captures on stdin")
 	gen := fs.String("gen", "", "generate a synthetic capture for the comma-separated algorithms instead of ingesting one")
@@ -102,12 +102,13 @@ func run(args []string, stdout io.Writer) error {
 		r = f
 	}
 
+	var opts caai.CaptureOptions
+	opts.Stream.Tracker.MaxFlows = *maxFlows
+	opts.Stream.Shards = *parallelism
 	if *follow {
-		return followStream(stdout, id, r, *jsonOut, *maxFlows, *parallelism)
+		return followStream(stdout, id, r, *jsonOut, opts)
 	}
 
-	opts := caai.CaptureOptions{Parallelism: *parallelism, Timings: *timings}
-	opts.Tracker.MaxFlows = *maxFlows
 	pairs, stats, err := id.IdentifyCapture(r, opts)
 	if err != nil {
 		return err
@@ -126,10 +127,7 @@ func run(args []string, stdout io.Writer) error {
 // an endless live capture piped to stdin), one result line out per flow
 // pair as it closes. With -json each line is a self-contained JSON
 // object (NDJSON); otherwise a table row prints under a one-time header.
-func followStream(stdout io.Writer, id *caai.Identifier, r io.Reader, jsonOut bool, maxFlows, parallelism int) error {
-	var opts caai.StreamOptions
-	opts.Stream.Tracker.MaxFlows = maxFlows
-	opts.Stream.Shards = parallelism
+func followStream(stdout io.Writer, id *caai.Identifier, r io.Reader, jsonOut bool, opts caai.StreamOptions) error {
 	enc := json.NewEncoder(stdout)
 	if !jsonOut {
 		fmt.Fprintf(stdout, "%-22s %-22s %7s %8s  %s\n", "SERVER", "CLIENT", "PKTS", "RTT", "IDENTIFICATION")

@@ -15,6 +15,7 @@ import (
 	"regexp"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/stats"
@@ -50,6 +51,12 @@ type Point struct {
 	GoVersion string `json:"go_version"`
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
+	// GOMAXPROCS, NumCPU and CPUModel identify the host the suite ran
+	// on: allocation counts of the sharded and pooled paths depend on
+	// the worker count, so points only compare within one setting.
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	CPUModel   string `json:"cpu_model,omitempty"`
 	// Scale describes the workload scale ("quick", "paper", ...).
 	Scale string `json:"scale"`
 	// Metrics carries suite-level quality metrics (cross-validation
@@ -66,15 +73,28 @@ const PointSchema = 1
 // NewPoint returns a Point pre-filled with toolchain/platform provenance.
 func NewPoint(label, scale string) Point {
 	return Point{
-		Schema:    PointSchema,
-		Label:     label,
-		Source:    "caai-bench",
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		Scale:     scale,
-		Metrics:   map[string]float64{},
+		Schema:     PointSchema,
+		Label:      label,
+		Source:     "caai-bench",
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		CPUModel:   cpuModel(),
+		Scale:      scale,
+		Metrics:    map[string]float64{},
 	}
+}
+
+// cpuModel reads the processor name from /proc/cpuinfo ("" where that
+// file does not exist).
+func cpuModel() string {
+	data, _ := os.ReadFile("/proc/cpuinfo") // absent off Linux: no model
+	_, rest, _ := strings.Cut(string(data), "model name")
+	line, _, _ := strings.Cut(rest, "\n")
+	_, name, _ := strings.Cut(line, ":")
+	return strings.TrimSpace(name)
 }
 
 // Case is one runnable suite benchmark.

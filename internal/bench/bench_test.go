@@ -4,9 +4,23 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 )
+
+// TestNewPointRecordsHost pins the host provenance every point carries:
+// allocation counts of the sharded paths depend on it.
+func TestNewPointRecordsHost(t *testing.T) {
+	p := NewPoint("host", "quick")
+	if p.GOMAXPROCS != runtime.GOMAXPROCS(0) || p.NumCPU != runtime.NumCPU() {
+		t.Fatalf("point records GOMAXPROCS=%d NumCPU=%d, want %d and %d",
+			p.GOMAXPROCS, p.NumCPU, runtime.GOMAXPROCS(0), runtime.NumCPU())
+	}
+	if runtime.GOOS == "linux" && runtime.GOARCH == "amd64" && p.CPUModel == "" {
+		t.Fatal("CPU model missing from /proc/cpuinfo")
+	}
+}
 
 func TestNextPointPathSequencing(t *testing.T) {
 	dir := t.TempDir()

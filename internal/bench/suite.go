@@ -262,7 +262,9 @@ func ServiceBatchBlocks(model classify.Classifier, jobs int) func(*testing.B) {
 
 // PcapIngest measures the passive pipeline end to end -- pcap decode, TCP
 // flow reassembly, congestion-window reconstruction, pairing, and
-// classification -- over a pregenerated two-server synthetic capture.
+// classification, all on the sharded stream pipeline that
+// flow.IdentifyCapture drains -- over a pregenerated two-server
+// synthetic capture.
 // b.SetBytes makes `go test -bench` report MB/s of capture throughput;
 // the suite records ns/op and allocs/op against the budget.
 func PcapIngest(model classify.Classifier) func(*testing.B) {
@@ -280,7 +282,7 @@ func PcapIngest(model classify.Classifier) func(*testing.B) {
 		b.ResetTimer()
 		var pairs int
 		for i := 0; i < b.N; i++ {
-			out, _, err := flow.IdentifyCapture(bytes.NewReader(data), model, flow.IdentifyOptions{})
+			out, _, err := flow.IdentifyCapture(bytes.NewReader(data), model, flow.IdentifyStreamOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -294,7 +296,7 @@ func PcapIngest(model classify.Classifier) func(*testing.B) {
 }
 
 // PcapStreamIngest measures the streaming pipeline -- bounded ring,
-// sharded decode with 4-tuple affinity, online flow tracking, epoch
+// sharded decode with address-pair affinity, online flow tracking, epoch
 // expiry -- over a live-monitoring workload: dozens of concurrent bulk
 // transfers with MTU-sized segments interleaved packet by packet, the
 // shape a `tcpdump -w -` feed has (unlike pcap/ingest's small-MSS probe

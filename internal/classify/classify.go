@@ -44,23 +44,6 @@ type BatchClassifier interface {
 	ClassifyBatch(vecs [][]float64, labels []string, confs []float64)
 }
 
-// Batch classifies a block of vectors through c's batched entry point
-// when it has one, and vector by vector otherwise. It is the dispatch
-// helper the pipeline's block paths share, so every consumer gains the
-// batched kernel the moment a backend implements BatchClassifier.
-func Batch(c Classifier, vecs [][]float64, labels []string, confs []float64) {
-	if len(vecs) == 0 {
-		return
-	}
-	if bc, ok := c.(BatchClassifier); ok {
-		bc.ClassifyBatch(vecs, labels, confs)
-		return
-	}
-	for i, v := range vecs {
-		labels[i], confs[i] = c.Classify(v)
-	}
-}
-
 // Codec serializes trained classifiers of one backend. Implementations
 // register themselves with RegisterCodec (typically from an init function)
 // so Save and Load can dispatch on the backend name.

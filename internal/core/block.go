@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math/rand"
 	"time"
 
@@ -184,79 +183,4 @@ func (bs *BlockSession) Flush(emit func(tag int, out Identification)) {
 	bs.tags = bs.tags[:0]
 	bs.outs = bs.outs[:0]
 	bs.pending = bs.pending[:0]
-}
-
-// IdentifyResults classifies a batch of already-gathered probe results:
-// the pipeline for traces that arrived without probing (reassembled
-// packet captures, replayed traces). Preparation -- special-shape
-// detection and feature extraction -- runs per sample; the model then
-// classifies every vector in one batched inference call. Results are
-// identical to calling IdentifyResult per element.
-func (id *Identifier) IdentifyResults(ress []*probe.Result) []Identification {
-	outs, _ := id.IdentifyResultsCtx(context.Background(), ress, 0)
-	return outs
-}
-
-// IdentifyResultsCtx is IdentifyResults with cancellation and bounded
-// parallelism for the preparation stage (0 = all CPUs). On cancellation
-// the samples already prepared are still classified and finished; the
-// rest stay zero. It returns ctx.Err() when cancelled.
-func (id *Identifier) IdentifyResultsCtx(ctx context.Context, ress []*probe.Result, parallelism int) ([]Identification, error) {
-	return id.identifyResults(ctx, ress, parallelism, false, nil)
-}
-
-// IdentifyResultsObserved is IdentifyResultsCtx with per-stage span
-// recording: every sample's feature and classify spans are stamped into
-// its Timings (classify as its share of the one batched model call), and
-// tel, when non-nil, aggregates them into per-stage histograms. The
-// passive path charges decode/reassembly to StageGather upstream of this
-// call (see internal/flow).
-func (id *Identifier) IdentifyResultsObserved(ctx context.Context, ress []*probe.Result, parallelism int, tel *telemetry.Pipeline) ([]Identification, error) {
-	return id.identifyResults(ctx, ress, parallelism, true, tel)
-}
-
-func (id *Identifier) identifyResults(ctx context.Context, ress []*probe.Result, parallelism int, record bool, tel *telemetry.Pipeline) ([]Identification, error) {
-	outs := make([]Identification, len(ress))
-	need := make([]bool, len(ress))
-	scratch := make([]feature.Scratch, engine.Workers(len(ress), parallelism))
-	err := engine.RunWorkers(ctx, len(ress), parallelism, func(w, i int) {
-		if record {
-			start := time.Now()
-			outs[i], need[i] = prepareResult(ress[i], &scratch[w])
-			outs[i].Timings[telemetry.StageFeature] = time.Since(start)
-		} else {
-			outs[i], need[i] = prepareResult(ress[i], &scratch[w])
-		}
-	})
-	var idxs []int
-	var vecs [][]float64
-	for i := range outs {
-		if need[i] {
-			idxs = append(idxs, i)
-			vecs = append(vecs, outs[i].Vector[:])
-		}
-	}
-	if len(idxs) > 0 {
-		labels := make([]string, len(idxs))
-		confs := make([]float64, len(idxs))
-		var start time.Time
-		if record {
-			start = time.Now()
-		}
-		classify.Batch(id.model, vecs, labels, confs)
-		var share time.Duration
-		if record {
-			share = time.Since(start) / time.Duration(len(idxs))
-		}
-		for k, i := range idxs {
-			applyLabel(&outs[i], labels[k], confs[k])
-			outs[i].Timings[telemetry.StageClassify] = share
-		}
-	}
-	if tel != nil {
-		for i := range outs {
-			tel.ObserveTimings(&outs[i].Timings)
-		}
-	}
-	return outs, err
 }

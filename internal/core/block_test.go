@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -85,41 +84,5 @@ func TestBlockSessionMatchesIdentifier(t *testing.T) {
 			// Flushing an empty session is a no-op.
 			bs.Flush(func(int, Identification) { t.Fatal("empty flush emitted a result") })
 		})
-	}
-}
-
-// TestIdentifyResultsMatchesIdentifyResult: the gathered-results block
-// entry point must agree with IdentifyResult element for element across
-// valid, invalid, and special outcomes.
-func TestIdentifyResultsMatchesIdentifyResult(t *testing.T) {
-	model := forest.Train(trainingSet(t), forest.Config{Trees: 20, Subspace: 4, Seed: 52})
-	id := NewIdentifier(model)
-	servers, conds, seeds := blockJobs(8)
-	var ress []*probe.Result
-	for i := range servers {
-		p := probe.New(probe.Config{}, conds[i], xrand.New(seeds[i]))
-		ress = append(ress, p.Gather(servers[i]))
-	}
-	// A special-shape server and an invalid gathering round out the mix.
-	special := websim.Testbed("RENO")
-	special.PostTimeoutClamp = 1
-	p := probe.New(probe.Config{}, netem.Lossless, xrand.New(1))
-	ress = append(ress, p.Gather(special))
-	broken := websim.Testbed("RENO")
-	broken.IgnoreRTO = true
-	p = probe.New(probe.Config{}, netem.Lossless, xrand.New(2))
-	ress = append(ress, p.Gather(broken))
-
-	for _, par := range []int{0, 1, 3} {
-		outs, err := id.IdentifyResultsCtx(context.Background(), ress, par)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, res := range ress {
-			want := id.IdentifyResult(res)
-			if !reflect.DeepEqual(outs[i], want) {
-				t.Fatalf("parallelism %d result %d: %+v != %+v", par, i, outs[i], want)
-			}
-		}
 	}
 }

@@ -212,7 +212,7 @@ type Identification struct {
 	Elapsed time.Duration
 	// Timings is the wall-clock per-stage span breakdown, stamped only by
 	// pipelines with span recording enabled (Session.EnableTimings,
-	// BlockSession.EnableTimings, IdentifyResultsObserved); zero
+	// BlockSession.EnableTimings) and by Session.IdentifyResult; zero
 	// otherwise. Unlike Elapsed -- which is simulated probe time -- these
 	// are real host-clock durations.
 	Timings telemetry.StageTimings
@@ -264,8 +264,8 @@ func (id *Identifier) identifyResult(res *probe.Result, sc *feature.Scratch) Ide
 // prepareResult runs every pipeline stage before model inference --
 // validity, special-shape detection, feature extraction -- and reports
 // whether the outcome still needs a classification. It is the per-sample
-// half of the block paths: BlockSession and IdentifyResults prepare
-// samples one at a time and classify whole blocks at once.
+// half of the block path: BlockSession prepares samples one at a time and
+// classifies whole blocks at once.
 func prepareResult(res *probe.Result, sc *feature.Scratch) (Identification, bool) {
 	out := Identification{Wmax: res.Wmax, MSS: res.MSS, Reason: res.Reason}
 	if !res.Valid {

@@ -117,6 +117,24 @@ func (s *Session) Identify(server *websim.Server, cond netem.Condition, cfg prob
 	return out
 }
 
+// IdentifyResult classifies an already-gathered probe result -- a flow
+// pair reassembled from a capture -- on the session's scratch. It always
+// stamps the feature and classify spans into Timings (three clock reads)
+// and matches Identifier.IdentifyResult in every other field.
+func (s *Session) IdentifyResult(res *probe.Result) Identification {
+	var clock telemetry.SpanClock
+	var tm telemetry.StageTimings
+	clock.Start()
+	out, need := prepareResult(res, &s.sc)
+	clock.Lap(&tm, telemetry.StageFeature)
+	if need {
+		s.classify(&out)
+		clock.Lap(&tm, telemetry.StageClassify)
+	}
+	out.Timings = tm
+	return out
+}
+
 // classify finishes a prepared identification through the model, feeding
 // it the session-owned vector buffer (see the vec field).
 func (s *Session) classify(out *Identification) {

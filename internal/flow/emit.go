@@ -2,6 +2,7 @@ package flow
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/probe"
@@ -89,6 +90,12 @@ func (t *Tracker) finalize(s *state) *FlowTrace {
 	// the recorder's buffers are recycled for the next flow (the
 	// trace.Recorder ownership contract).
 	tr := t.rec.Reset("", 0, ft.MSS)
+	pre := len(d.rounds)
+	if d.timeoutRound >= 0 {
+		pre = min(d.timeoutRound, pre)
+	}
+	tr.Pre = slices.Grow(tr.Pre, pre)
+	tr.Post = slices.Grow(tr.Post, len(d.rounds)-pre)
 	mss := int64(ft.MSS)
 	for i, r := range d.rounds {
 		// Rounded division: clean captures carry exact multiples of the

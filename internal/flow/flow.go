@@ -18,6 +18,7 @@ import (
 	"bytes"
 	"math"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/pcap"
@@ -243,9 +244,11 @@ type Tracker struct {
 	stats Stats
 	rec   trace.Recorder // reused build buffer; emitted traces are Clones
 
-	// Online mode: emitted flows go to sink instead of done, and idle
-	// flows expire on epoch sweeps instead of waiting for Finish.
+	// Online mode: emitted flows go to sink (or, in an identify stream,
+	// pairs, which also hears of every flow opened) instead of done, and
+	// idle flows expire on epoch sweeps instead of waiting for Finish.
 	sink    func(*FlowTrace)
+	pairs   *pairer
 	emitted int64     // flows emitted so far, for the MaxEmitted bound
 	epochAt time.Time // capture time the current epoch started
 	metrics *TrackerMetrics
@@ -282,7 +285,7 @@ func (t *Tracker) Instrument(m *TrackerMetrics) { t.metrics = m }
 func (t *Tracker) Observe(p *pcap.Packet) {
 	key, dir := keyOf(p)
 	s := t.flows[key]
-	if t.sink != nil {
+	if t.sink != nil || t.pairs != nil {
 		// Online mode: a flow resuming after its own idle-expiry window
 		// was already conceptually emitted -- close it out and let the
 		// resumption start a fresh flow. This keeps the split independent
@@ -304,6 +307,9 @@ func (t *Tracker) Observe(p *pcap.Packet) {
 		s.dirs[1].timeoutRound = -1
 		t.flows[key] = s
 		t.lruPush(s)
+		if t.pairs != nil {
+			t.pairs.opened(s)
+		}
 		if live := int64(len(t.flows)); live > t.stats.LiveHighWater {
 			t.stats.LiveHighWater = live
 		}
@@ -517,8 +523,8 @@ func (t *Tracker) roundGap(s *state) time.Duration {
 
 // Finish emits every remaining flow, ordered by first activity, and
 // resets the tracker. The returned traces are independent copies. In
-// online mode the remaining flows drain to the sink instead and Finish
-// returns nil.
+// online mode the remaining flows drain to the sink (or are paired and
+// classified) instead and Finish returns nil.
 func (t *Tracker) Finish() []*FlowTrace {
 	// Emit in LRU order (oldest first), then restore capture order by
 	// first-packet time via the done slice append order... flows may
@@ -526,9 +532,12 @@ func (t *Tracker) Finish() []*FlowTrace {
 	for t.tail != nil {
 		t.emit(t.tail)
 	}
+	if t.pairs != nil {
+		t.pairs.flush()
+	}
 	out := t.done
 	t.done = nil
-	t.flows = map[flowKey]*state{}
+	clear(t.flows)
 	t.emitted = 0
 	t.epochAt = time.Time{}
 	sortFlows(out)
@@ -545,26 +554,31 @@ func (t *Tracker) evictOldest() {
 }
 
 // emit finalizes one flow into a FlowTrace and removes it from the
-// tracker: onto the done slice offline, into the sink online. Once
-// MaxEmitted flows have been emitted, later-finishing flows are dropped
-// (the earliest-finishing flows are the ones kept).
+// tracker: onto the done slice offline, into the sink or pairer online.
+// Once MaxEmitted flows have been emitted, later-finishing flows are
+// dropped (the earliest-finishing flows are the ones kept).
 func (t *Tracker) emit(s *state) {
 	t.lruRemove(s)
 	delete(t.flows, s.key)
 	if m := t.metrics; m != nil && m.Live != nil {
 		m.Live.Add(-1)
 	}
+	var ft *FlowTrace
 	if t.cfg.MaxEmitted >= 0 && t.emitted >= int64(t.cfg.MaxEmitted) {
 		t.stats.Dropped++
-		return
+	} else {
+		t.emitted++
+		ft = t.finalize(s)
 	}
-	t.emitted++
-	ft := t.finalize(s)
-	if t.sink != nil {
+	switch {
+	case t.pairs != nil:
+		t.pairs.closed(s, ft)
+	case ft == nil:
+	case t.sink != nil:
 		t.sink(ft)
-		return
+	default:
+		t.done = append(t.done, ft)
 	}
-	t.done = append(t.done, ft)
 }
 
 // sortFlows orders flows by first activity, breaking ties by endpoint
@@ -573,14 +587,16 @@ func sortFlows(fs []*FlowTrace) {
 	sort.SliceStable(fs, func(i, j int) bool { return flowLess(fs[i], fs[j]) })
 }
 
-func flowLess(x, y *FlowTrace) bool {
-	if !x.Start.Equal(y.Start) {
-		return x.Start.Before(y.Start)
+func flowLess(x, y *FlowTrace) bool { return flowCmp(x, y) < 0 }
+
+func flowCmp(x, y *FlowTrace) int {
+	if c := x.Start.Compare(y.Start); c != 0 {
+		return c
 	}
-	if x.Server != y.Server {
-		return x.Server < y.Server
+	if c := strings.Compare(x.Server, y.Server); c != 0 {
+		return c
 	}
-	return x.Client < y.Client
+	return strings.Compare(x.Client, y.Client)
 }
 
 // lruPush inserts s at the head (most recent).

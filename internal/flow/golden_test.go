@@ -133,7 +133,7 @@ func TestGoldenCapture(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(goldenDir, goldenCapture), gz.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		pairs, stats, err := IdentifyCapture(bytes.NewReader(buf.Bytes()), model, IdentifyOptions{})
+		pairs, stats, err := IdentifyCapture(bytes.NewReader(buf.Bytes()), model, IdentifyStreamOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +188,7 @@ func TestGoldenCapture(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pairs, stats, err := IdentifyCapture(bytes.NewReader(capture), model, IdentifyOptions{})
+	pairs, stats, err := IdentifyCapture(bytes.NewReader(capture), model, IdentifyStreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,10 @@ package flow
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -13,22 +15,6 @@ import (
 	"repro/internal/probe"
 	"repro/internal/telemetry"
 )
-
-// IdentifyOptions tunes IdentifyCapture.
-type IdentifyOptions struct {
-	// Tracker bounds flow reassembly (zero value: defaults).
-	Tracker Config
-	// Parallelism bounds concurrent classification on the engine pool
-	// (0 = all CPUs).
-	Parallelism int
-	// Timings enables per-stage span recording: each pair's ID.Timings
-	// gets its feature/classify spans plus its share of decode+reassembly
-	// time under StageGather (the passive pipeline's gather).
-	Timings bool
-	// Telemetry, when non-nil, aggregates every pair's spans into
-	// per-stage histograms (implies Timings).
-	Telemetry *telemetry.Pipeline
-}
 
 // CaptureStats summarizes one ingested capture for callers and the
 // service's /metrics ingest counters.
@@ -63,10 +49,10 @@ type FlowIdentification struct {
 	ID core.Identification
 }
 
-// Reassemble decodes a capture stream and reconstructs its flows; the
-// building block of IdentifyCapture for callers that want raw traces. On
-// a malformed capture it returns the flows reassembled so far along with
-// the error.
+// Reassemble decodes a capture stream and reconstructs its flows in one
+// offline tracker: the sequential reference the stream pipeline is
+// tested against, for callers that want raw traces. On a malformed
+// capture it returns the flows reassembled so far along with the error.
 func Reassemble(r io.Reader, cfg Config) ([]*FlowTrace, CaptureStats, error) {
 	var stats CaptureStats
 	rd, err := pcap.NewReader(r)
@@ -141,87 +127,6 @@ func Pair(flows []*FlowTrace) []FlowIdentification {
 	return out
 }
 
-// Classify runs the pipeline over paired flows, filling each pair's ID in
-// place: special-shape detection and feature extraction fan out on the
-// engine worker pool, then the model classifies every extracted vector in
-// one block through its batched kernel -- the same inference path probed
-// traces take, with the same per-pair results.
-func Classify(pairs []FlowIdentification, model classify.Classifier, parallelism int) {
-	_ = ClassifyCtx(context.Background(), pairs, model, parallelism, nil)
-}
-
-// ClassifyCtx is Classify with cancellation and a per-pair completion
-// callback (both optional), for callers that tally results as they
-// land -- the service's async pcap jobs. onResult runs serially on the
-// calling goroutine, after the block classification, in pair order; a
-// cancelled run returns ctx's error without invoking it.
-func ClassifyCtx(ctx context.Context, pairs []FlowIdentification, model classify.Classifier, parallelism int, onResult func(i int)) error {
-	return ClassifyAll(ctx, pairs, model, ClassifyOptions{Parallelism: parallelism, OnResult: onResult})
-}
-
-// ClassifyOptions tunes ClassifyAll.
-type ClassifyOptions struct {
-	// Parallelism bounds the preparation fan-out (0 = all CPUs).
-	Parallelism int
-	// Timings enables per-pair span recording into ID.Timings.
-	Timings bool
-	// Telemetry, when non-nil, aggregates every pair's spans into
-	// per-stage histograms (implies Timings).
-	Telemetry *telemetry.Pipeline
-	// GatherSpan is the wall-clock cost of decode+reassembly for the
-	// capture these pairs came from; span recording charges each pair an
-	// equal share of it under StageGather.
-	GatherSpan time.Duration
-	// OnResult, when non-nil, runs serially in pair order after each
-	// pair's ID is filled.
-	OnResult func(i int)
-}
-
-// ClassifyAll is the full-control classification entry point: ClassifyCtx
-// plus optional per-stage span recording (see ClassifyOptions).
-func ClassifyAll(ctx context.Context, pairs []FlowIdentification, model classify.Classifier, opts ClassifyOptions) error {
-	id := core.NewIdentifier(model)
-	ress := make([]*probe.Result, len(pairs))
-	for i := range pairs {
-		ress[i] = pairResult(&pairs[i])
-	}
-	record := opts.Timings || opts.Telemetry != nil
-	var outs []core.Identification
-	var err error
-	if record {
-		// Telemetry aggregation is deferred below so the gather share is
-		// included in the histograms.
-		outs, err = id.IdentifyResultsObserved(ctx, ress, opts.Parallelism, nil)
-	} else {
-		outs, err = id.IdentifyResultsCtx(ctx, ress, opts.Parallelism)
-	}
-	if err != nil {
-		return err
-	}
-	var gatherShare time.Duration
-	if record && len(pairs) > 0 {
-		gatherShare = opts.GatherSpan / time.Duration(len(pairs))
-	}
-	for i := range pairs {
-		out := outs[i]
-		out.Elapsed = pairs[i].A.End.Sub(pairs[i].A.Start)
-		if pairs[i].B != nil {
-			out.Elapsed += pairs[i].B.End.Sub(pairs[i].B.Start)
-		}
-		if record {
-			out.Timings[telemetry.StageGather] = gatherShare
-			if opts.Telemetry != nil {
-				opts.Telemetry.ObserveTimings(&out.Timings)
-			}
-		}
-		pairs[i].ID = out
-		if opts.OnResult != nil {
-			opts.OnResult(i)
-		}
-	}
-	return nil
-}
-
 // pairResult maps one flow pair onto the probe result the identification
 // pipeline consumes.
 func pairResult(p *FlowIdentification) *probe.Result {
@@ -252,32 +157,38 @@ func pairResult(p *FlowIdentification) *probe.Result {
 	return res
 }
 
-// IdentifyCapture is the passive pipeline end to end: decode r, track and
-// reconstruct flows, pair them, and classify every pair with model. The
-// capture is streamed; memory stays bounded regardless of its size.
-func IdentifyCapture(r io.Reader, model classify.Classifier, opts IdentifyOptions) ([]FlowIdentification, CaptureStats, error) {
-	record := opts.Timings || opts.Telemetry != nil
-	var start time.Time
-	if record {
-		start = time.Now()
+// IdentifyCapture is the passive pipeline end to end: it drains r
+// through an identify stream (NewIdentifyStream) and returns every
+// classified pair in capture order, sorted by the A flow as Pair orders
+// them. Each pair's ID.Timings carries its feature and classify spans
+// plus an equal share of the whole drain under StageGather. Unless
+// opts bounds it, the tracker keeps the offline MaxEmitted default,
+// since the results accumulate here. Memory otherwise stays bounded
+// regardless of the capture's size.
+func IdentifyCapture(r io.Reader, model classify.Classifier, opts IdentifyStreamOptions) ([]FlowIdentification, CaptureStats, error) {
+	start := time.Now()
+	if opts.Stream.Tracker.MaxEmitted == 0 {
+		opts.Stream.Tracker.MaxEmitted = Config{}.withDefaults().MaxEmitted
 	}
-	flows, stats, err := Reassemble(r, opts.Tracker)
-	if err != nil {
-		return nil, stats, fmt.Errorf("flow: decoding capture: %w", err)
-	}
-	var gather time.Duration
-	if record {
-		gather = time.Since(start)
-	}
-	pairs := Pair(flows)
-	cerr := ClassifyAll(context.Background(), pairs, model, ClassifyOptions{
-		Parallelism: opts.Parallelism,
-		Timings:     opts.Timings,
-		Telemetry:   opts.Telemetry,
-		GatherSpan:  gather,
+	var pairs []FlowIdentification
+	st := NewIdentifyStream(context.Background(), model, opts, func(fi FlowIdentification) {
+		pairs = append(pairs, fi)
 	})
-	if cerr != nil {
-		return pairs, stats, cerr
+	if _, err := io.Copy(st, r); err != nil && !errors.Is(err, io.ErrClosedPipe) {
+		// The reader failed; a closed pipe instead means the decoder
+		// stopped early, and Close reports why.
+		st.Abort(err)
+		return nil, st.Stats(), fmt.Errorf("flow: reading capture: %w", err)
 	}
-	return pairs, stats, nil
+	if err := st.Close(); err != nil {
+		return nil, st.Stats(), fmt.Errorf("flow: decoding capture: %w", err)
+	}
+	slices.SortFunc(pairs, func(x, y FlowIdentification) int { return flowCmp(x.A, y.A) })
+	if len(pairs) > 0 {
+		share := time.Since(start) / time.Duration(len(pairs))
+		for i := range pairs {
+			pairs[i].ID.Timings[telemetry.StageGather] = share
+		}
+	}
+	return pairs, st.Stats(), nil
 }

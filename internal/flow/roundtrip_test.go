@@ -18,7 +18,7 @@ import (
 // same model without committing a second copy.
 var goldenModelPath = filepath.Join("..", "eval", "testdata", "golden", "model.json")
 
-func loadGoldenModel(t *testing.T) classify.Classifier {
+func loadGoldenModel(t testing.TB) classify.Classifier {
 	t.Helper()
 	model, err := classify.LoadFile(goldenModelPath)
 	if err != nil {
@@ -51,7 +51,7 @@ func TestRoundTripMatchesDirectPath(t *testing.T) {
 				t.Fatalf("direct gathering invalid (%s); pick another seed", results[0].Reason)
 			}
 
-			pairs, stats, err := IdentifyCapture(bytes.NewReader(buf.Bytes()), model, IdentifyOptions{})
+			pairs, stats, err := IdentifyCapture(bytes.NewReader(buf.Bytes()), model, IdentifyStreamOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +111,7 @@ func TestRoundTripPcapng(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs, _, err := IdentifyCapture(bytes.NewReader(buf.Bytes()), model, IdentifyOptions{})
+	pairs, _, err := IdentifyCapture(bytes.NewReader(buf.Bytes()), model, IdentifyStreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestMultiServerCapture(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := core.NewIdentifier(model)
-	pairs, stats, err := IdentifyCapture(bytes.NewReader(buf.Bytes()), model, IdentifyOptions{})
+	pairs, stats, err := IdentifyCapture(bytes.NewReader(buf.Bytes()), model, IdentifyStreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,36 +5,39 @@
 //	Write -> pcap.Ring -> framer -> [shard workers] -> funnel -> emitter
 //
 // The framer reads raw records off the ring (pcap.Reader.NextRaw),
-// sniffs each frame's 4-tuple hash (pcap.TupleHash) and batches the raw
-// bytes onto the owning shard's channel; shard workers -- long-lived
-// jobs on the engine worker pool -- run the full frame decode and their
-// own online-mode Tracker; finished flows funnel into one channel that
-// a single emitter goroutine drains, so the caller's sink never needs
-// locks. Every channel and buffer is bounded, so a slow consumer stalls
-// the producer (HTTP body, stdin) instead of growing memory.
+// sniffs each frame's address-pair hash (pcap.TupleSniff) and batches
+// the raw bytes onto the owning shard's channel; a shard worker runs the
+// full frame decode and its own online-mode Tracker. The hash ignores
+// direction and ports, so every flow of a (client IP, server) group
+// lands on one shard, and an identify stream pairs and classifies on
+// the shard itself (see pairer). Finished flows or classified pairs
+// funnel into one channel that a single emitter goroutine drains, so
+// the caller's sink never needs locks. Every channel and buffer is
+// bounded, so a slow consumer stalls the producer (HTTP body, stdin)
+// instead of growing memory. A shard starts with its first packet, so a
+// capture between few hosts pays for few shards.
 package flow
 
 import (
 	"context"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/classify"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/pcap"
 	"repro/internal/telemetry"
 )
 
 // StreamConfig tunes a Stream. The zero value selects the defaults.
 type StreamConfig struct {
-	// Tracker bounds flow reassembly. MaxFlows is the bound across the
-	// whole pipeline (split evenly over shards); MaxEmitted defaults to
-	// unlimited in streaming mode, where emitted flows are handed off
-	// instead of accumulating.
+	// Tracker bounds flow reassembly. MaxFlows and MaxEmitted are bounds
+	// across the whole pipeline (split evenly over shards); MaxEmitted
+	// defaults to unlimited in streaming mode, where emitted flows are
+	// handed off instead of accumulating.
 	Tracker Config
 	// Shards is the number of parallel decode+track workers (default:
 	// GOMAXPROCS, capped at 16).
@@ -49,8 +52,8 @@ type StreamConfig struct {
 	Metrics *StreamMetrics
 	// Trace/TraceID, when both set, record a shard-assignment event into
 	// the flight recorder each time a shard worker emits a finished flow
-	// (arg: shard index), so a stream request's span tree shows which
-	// decode shards produced its flows.
+	// or classified pair (arg: shard index), so a stream request's span
+	// tree shows which shards produced its results.
 	Trace   *telemetry.Flight
 	TraceID telemetry.TraceID
 }
@@ -91,6 +94,12 @@ func (c StreamConfig) withDefaults() StreamConfig {
 	return c
 }
 
+// batchesPerShard is the fixed set of raw batches a shard recycles
+// between the framer and its worker. Eight keep a shard's queue deep
+// enough to ride out the uneven load address-pair routing gives: with
+// four, the 28-server e2e capture streamed ~10% slower on 2 cores.
+const batchesPerShard = 8
+
 // rawMeta is one framed packet's record metadata; the frame bytes live
 // in the owning batch's buf.
 type rawMeta struct {
@@ -101,8 +110,9 @@ type rawMeta struct {
 	off, end int32
 }
 
-// rawBatch is one framer-to-shard handoff. Batches recycle through a
-// per-shard free list, so a steady-state stream stops allocating.
+// rawBatch is one framer-to-shard handoff. A shard's batches are
+// allocated together when it starts and recycle through its free list,
+// so a running stream stops allocating.
 type rawBatch struct {
 	buf  []byte
 	meta []rawMeta
@@ -110,7 +120,8 @@ type rawBatch struct {
 
 func (b *rawBatch) reset() { b.buf = b.buf[:0]; b.meta = b.meta[:0] }
 
-// shardState is one worker's private pipeline state.
+// shardState is one worker's private pipeline state. in is nil until
+// the shard's first packet starts it.
 type shardState struct {
 	in      chan *rawBatch
 	free    chan *rawBatch
@@ -127,19 +138,24 @@ type shardState struct {
 // different goroutine than the one that built the Stream. Abort tears
 // the pipeline down early.
 type Stream struct {
-	cfg    StreamConfig
-	ring   *pcap.Ring
-	onFlow func(*FlowTrace)
+	cfg  StreamConfig
+	tcfg Config // one shard tracker's bounds
+	ring *pcap.Ring
+	emit func(FlowIdentification)
+	// id, when set, makes every shard pair and classify its own flows,
+	// holding back at most maxPending of them (see pairer).
+	id         *core.Identifier
+	maxPending int
 
-	ctx    context.Context
-	cancel context.CancelFunc
-	shards []shardState
-	funnel chan *FlowTrace
-	done   chan struct{}
+	ctx     context.Context
+	cancel  context.CancelFunc
+	shards  []shardState
+	workers sync.WaitGroup
+	funnel  chan FlowIdentification
+	done    chan struct{}
 
-	bytesIn atomic.Int64
-	err     error        // pipeline error, valid after done
-	stats   CaptureStats // valid after done
+	err   error        // pipeline error, valid after done
+	stats CaptureStats // valid after done
 }
 
 // NewStream starts a streaming pipeline. Every finished flow is handed
@@ -147,40 +163,32 @@ type Stream struct {
 // FlowTrace is owned by the callback. Cancelling ctx aborts the
 // pipeline. Callers must call Close (or Abort) exactly once.
 func NewStream(ctx context.Context, cfg StreamConfig, onFlow func(*FlowTrace)) *Stream {
+	return newStream(ctx, cfg, nil, 0, func(fi FlowIdentification) { onFlow(fi.A) })
+}
+
+func newStream(ctx context.Context, cfg StreamConfig, model classify.Classifier, maxPending int, emit func(FlowIdentification)) *Stream {
 	cfg = cfg.withDefaults()
 	sctx, cancel := context.WithCancel(ctx)
 	s := &Stream{
 		cfg:    cfg,
+		tcfg:   cfg.Tracker.withDefaults(),
 		ring:   pcap.NewRing(cfg.RingBytes),
-		onFlow: onFlow,
+		emit:   emit,
 		ctx:    sctx,
 		cancel: cancel,
 		shards: make([]shardState, cfg.Shards),
-		funnel: make(chan *FlowTrace, 256),
+		// A few batches' worth of results, so a shard finishing a burst
+		// of flows rarely waits on the emitter.
+		funnel: make(chan FlowIdentification, 64),
 		done:   make(chan struct{}),
 	}
-	tcfg := cfg.Tracker.withDefaults()
-	perShard := tcfg.MaxFlows / cfg.Shards
-	if perShard < 16 {
-		perShard = 16
+	s.tcfg.MaxFlows = max(s.tcfg.MaxFlows/cfg.Shards, 16)
+	if s.tcfg.MaxEmitted > 0 {
+		s.tcfg.MaxEmitted = max(s.tcfg.MaxEmitted/cfg.Shards, 1)
 	}
-	tcfg.MaxFlows = perShard
-	for i := range s.shards {
-		sh := &s.shards[i]
-		shardIdx := uint64(i)
-		sh.in = make(chan *rawBatch, 4)
-		sh.free = make(chan *rawBatch, 8)
-		sh.tracker = NewTracker(tcfg)
-		if cfg.Metrics != nil {
-			sh.tracker.Instrument(&cfg.Metrics.Tracker)
-		}
-		sh.tracker.Stream(func(ft *FlowTrace) {
-			cfg.Trace.Event(cfg.TraceID, telemetry.EventShardAssign, shardIdx)
-			select {
-			case s.funnel <- ft:
-			case <-s.ctx.Done():
-			}
-		})
+	if model != nil {
+		s.id = core.NewIdentifier(model)
+		s.maxPending = max(maxPending/cfg.Shards, 16)
 	}
 	go s.run()
 	// Unblock the pipeline promptly when ctx is cancelled from outside.
@@ -198,7 +206,6 @@ func NewStream(ctx context.Context, cfg StreamConfig, onFlow func(*FlowTrace)) *
 // is full until the decoder catches up (end-to-end backpressure).
 func (s *Stream) Write(p []byte) (int, error) {
 	n, err := s.ring.Write(p)
-	s.bytesIn.Add(int64(n))
 	if m := s.cfg.Metrics; m != nil && m.Bytes != nil {
 		m.Bytes.Add(int64(n))
 	}
@@ -229,40 +236,20 @@ func (s *Stream) Abort(err error) {
 // Stats reports the merged pipeline counters. Valid after Close/Abort.
 func (s *Stream) Stats() CaptureStats { return s.stats }
 
-// BytesIn reports capture bytes accepted so far. Safe to call from any
-// goroutine while the stream runs.
-func (s *Stream) BytesIn() int64 { return s.bytesIn.Load() }
-
 // run is the pipeline body: it owns the framer loop and supervises the
 // shard workers and the emitter.
 func (s *Stream) run() {
 	defer close(s.done)
 	defer s.ring.CloseWithError(io.ErrClosedPipe) // unblock any writer on early exit
 
-	var emitWG sync.WaitGroup
-	emitWG.Add(1)
+	emitted := make(chan struct{})
 	go func() {
-		defer emitWG.Done()
-		for ft := range s.funnel {
-			if m := s.cfg.Metrics; m != nil && m.Flows != nil {
-				m.Flows.Add(1)
-			}
-			if ft.Trace != nil && ft.Trace.Valid() {
-				s.stats.Classifiable++
-			}
-			s.onFlow(ft)
+		defer close(emitted)
+		for fi := range s.funnel {
+			s.count(fi.A)
+			s.count(fi.B)
+			s.emit(fi)
 		}
-	}()
-
-	workersDone := make(chan error, 1)
-	go func() {
-		// Long-lived shard loops as engine pool jobs: n == parallelism,
-		// so every shard gets its own worker goroutine.
-		werr := engine.RunWorkers(context.Background(), len(s.shards), len(s.shards), func(_, job int) {
-			s.shardLoop(&s.shards[job])
-		})
-		close(s.funnel)
-		workersDone <- werr
 	}()
 
 	rd, derr := pcap.NewReader(s.ring)
@@ -270,21 +257,28 @@ func (s *Stream) run() {
 		derr = s.frame(rd)
 	}
 	for i := range s.shards {
-		if s.shards[i].pending != nil && len(s.shards[i].pending.meta) > 0 {
-			s.dispatch(&s.shards[i])
+		sh := &s.shards[i]
+		if sh.in == nil {
+			continue
 		}
-		close(s.shards[i].in)
+		if sh.pending != nil {
+			s.dispatch(sh)
+		}
+		close(sh.in)
 	}
-	werr := <-workersDone
-	emitWG.Wait()
+	s.workers.Wait()
+	close(s.funnel)
+	<-emitted
 
 	// Merge the per-stage counters into one CaptureStats.
 	if rd != nil {
-		ds := rd.Stats()
-		s.stats.Packets = ds.Packets
+		s.stats.Packets = rd.Stats().Packets
 	}
 	for i := range s.shards {
 		sh := &s.shards[i]
+		if sh.tracker == nil {
+			continue
+		}
 		s.stats.TCPSegments += sh.tcp
 		s.stats.SkippedPackets += sh.skipped
 		s.stats.TruncatedPackets += sh.trunc
@@ -297,14 +291,25 @@ func (s *Stream) run() {
 	switch {
 	case derr != nil && derr != io.EOF:
 		s.err = derr
-	case werr != nil:
-		s.err = werr
 	case s.ctx.Err() != nil:
 		s.err = s.ctx.Err()
 	}
 }
 
-// frame is the framer loop: raw records off the reader, tuple-hash
+// count tallies one emitted flow on the emitter goroutine.
+func (s *Stream) count(f *FlowTrace) {
+	if f == nil {
+		return
+	}
+	if m := s.cfg.Metrics; m != nil && m.Flows != nil {
+		m.Flows.Add(1)
+	}
+	if f.Trace != nil && f.Trace.Valid() {
+		s.stats.Classifiable++
+	}
+}
+
+// frame is the framer loop: raw records off the reader, address-pair
 // shard selection, batched handoff. Frames with no sniffable TCP tuple
 // round-robin (they decode to skip/truncated on whatever shard).
 func (s *Stream) frame(rd *pcap.Reader) error {
@@ -327,10 +332,16 @@ func (s *Stream) frame(rd *pcap.Reader) error {
 			// changes nothing downstream (TestStreamMatchesOffline).
 			data = data[:span]
 		}
-		sh := &s.shards[h%nshards]
+		idx := int(h % nshards)
+		sh := &s.shards[idx]
+		if sh.in == nil {
+			s.startShard(idx)
+		}
 		b := sh.pending
 		if b == nil {
-			b = s.grab(sh)
+			if b = s.grab(sh); b == nil {
+				return s.ctx.Err()
+			}
 			sh.pending = b
 		}
 		off := len(b.buf)
@@ -360,34 +371,69 @@ func (s *Stream) frame(rd *pcap.Reader) error {
 	}
 }
 
-// grab takes a recycled batch off the shard's free list or allocates.
+// startShard builds shard idx's batches, tracker (and pairer) and
+// starts its worker. It runs on the framer goroutine when the shard's
+// first packet arrives.
+func (s *Stream) startShard(idx int) {
+	sh := &s.shards[idx]
+	sh.in = make(chan *rawBatch, batchesPerShard)
+	sh.free = make(chan *rawBatch, batchesPerShard)
+	batches := make([]rawBatch, batchesPerShard)
+	n, c := s.cfg.BatchPackets, 128*s.cfg.BatchPackets
+	buf := make([]byte, batchesPerShard*c)
+	meta := make([]rawMeta, batchesPerShard*n)
+	for i := range batches {
+		batches[i] = rawBatch{buf: buf[i*c : i*c : (i+1)*c], meta: meta[i*n : i*n : (i+1)*n]}
+		sh.free <- &batches[i]
+	}
+	sh.tracker = NewTracker(s.tcfg)
+	if m := s.cfg.Metrics; m != nil {
+		sh.tracker.Instrument(&m.Tracker)
+	}
+	if s.id != nil {
+		sh.tracker.pairs = &pairer{sess: s.id.NewSession(), hosts: map[hostPair]*hostFlows{},
+			max: s.maxPending, s: s, shard: idx}
+	} else {
+		sh.tracker.Stream(func(ft *FlowTrace) { s.send(idx, FlowIdentification{A: ft}) })
+	}
+	s.workers.Add(1)
+	go s.shardLoop(sh)
+}
+
+// send hands one result from shard idx to the emitter.
+func (s *Stream) send(idx int, fi FlowIdentification) {
+	s.cfg.Trace.Event(s.cfg.TraceID, telemetry.EventShardAssign, uint64(idx))
+	select {
+	case s.funnel <- fi:
+	case <-s.ctx.Done():
+	}
+}
+
+// grab takes the shard's next free batch, waiting while the worker
+// holds all of them (backpressure toward the producer). It returns nil
+// when the stream is cancelled.
 func (s *Stream) grab(sh *shardState) *rawBatch {
 	select {
 	case b := <-sh.free:
 		b.reset()
 		return b
-	default:
-		return &rawBatch{
-			buf:  make([]byte, 0, 64<<10),
-			meta: make([]rawMeta, 0, s.cfg.BatchPackets),
-		}
+	case <-s.ctx.Done():
+		return nil
 	}
 }
 
-// dispatch hands the shard's pending batch to its worker, blocking when
-// the shard is behind (backpressure toward the producer).
+// dispatch hands the shard's pending batch to its worker. The in
+// channel holds every batch the shard owns, so this never waits.
 func (s *Stream) dispatch(sh *shardState) {
-	b := sh.pending
+	sh.in <- sh.pending
 	sh.pending = nil
-	select {
-	case sh.in <- b:
-	case <-s.ctx.Done():
-	}
 }
 
 // shardLoop is one worker: full frame decode plus online flow tracking
-// for every packet whose tuple hashes here.
+// (and, in an identify stream, pairing and classification) for every
+// packet whose address pair hashes here.
 func (s *Stream) shardLoop(sh *shardState) {
+	defer s.workers.Done()
 	var pkt pcap.Packet
 	for b := range sh.in {
 		for i := range b.meta {
@@ -405,124 +451,186 @@ func (s *Stream) shardLoop(sh *shardState) {
 				sh.skipped++
 			}
 		}
-		select {
-		case sh.free <- b:
-		default:
-		}
+		sh.free <- b
 	}
 	// End of input: drain this shard's remaining flows to the sink.
 	sh.tracker.Finish()
 }
 
-// IdentifyStreamOptions tunes NewIdentifyStream.
+// IdentifyStreamOptions tunes NewIdentifyStream and IdentifyCapture.
 type IdentifyStreamOptions struct {
 	// Stream tunes the underlying pipeline.
 	Stream StreamConfig
-	// MaxPending bounds flows held waiting for an environment-B
-	// companion; beyond it the oldest pending flow classifies unpaired
-	// (default 1024).
+	// MaxPending bounds the finished flows the pipeline holds back from
+	// classification, split evenly over shards: flows waiting for an
+	// environment-B companion, or for an earlier-started flow between
+	// the same hosts to close. Beyond it the address pair holding the
+	// oldest waiting flow classifies everything it holds, unpaired where
+	// the companion has not closed yet (default 1024).
 	MaxPending int
 }
 
 // IdentifyStream is a Stream whose flows are paired and classified as
-// they close: the streaming equivalent of IdentifyCapture.
+// they close: the streaming form of IdentifyCapture.
 type IdentifyStream struct {
 	*Stream
-	p pairer
 }
 
 // NewIdentifyStream starts a streaming pipeline that pairs flows by
-// (client IP, server) and classifies each pair with model the moment it
-// completes, mirroring the offline Pair+ClassifyAll path. onResult runs
-// serially on the emitter goroutine; it owns the FlowIdentification.
-// Flow pairing holds a valid timed-out flow until its group's next flow
-// closes (or the stream ends), exactly like the active prober's
-// environment A then environment B.
+// (client IP, server) exactly as Pair does and classifies each pair with
+// model on the shard that tracked it. onResult runs serially on the
+// emitter goroutine; it owns the FlowIdentification. A valid timed-out
+// flow waits for its group's next flow to close (or the stream to end),
+// like the active prober's environment A then environment B; a finished
+// flow waits for every earlier-started flow between the same two hosts,
+// so each group pairs in flow-start order whatever order its flows
+// close in. Every result carries its feature and classify spans in
+// ID.Timings.
 func NewIdentifyStream(ctx context.Context, model classify.Classifier, opts IdentifyStreamOptions, onResult func(FlowIdentification)) *IdentifyStream {
-	st := &IdentifyStream{}
-	st.p = pairer{
-		id:         core.NewIdentifier(model),
-		pending:    map[string]*FlowTrace{},
-		maxPending: opts.MaxPending,
-		onResult:   onResult,
+	if opts.MaxPending <= 0 {
+		opts.MaxPending = 1024
 	}
-	if st.p.maxPending <= 0 {
-		st.p.maxPending = 1024
-	}
-	st.Stream = NewStream(ctx, opts.Stream, st.p.add)
-	return st
+	return &IdentifyStream{newStream(ctx, opts.Stream, model, opts.MaxPending, onResult)}
 }
 
-// Close drains the pipeline, classifies every flow still waiting for a
-// companion as unpaired, and returns the first pipeline error.
-func (st *IdentifyStream) Close() error {
-	err := st.Stream.Close()
-	st.p.flush()
-	return err
+// hostPair is a flow's unordered address pair -- what the framer routes
+// on -- so every flow of one (client IP, server) group shares it. A
+// live flow's client and server roles are only fixed when it closes,
+// but its address pair is known from its first packet.
+type hostPair struct{ a, b [16]byte }
+
+// hostFlows is one address pair's pairing state on a shard.
+type hostFlows struct {
+	live   []*state     // flows the tracker still holds
+	closed []*FlowTrace // finished flows waiting on a live one, in capture order
+	held   []*FlowTrace // valid flows waiting for their group's next flow
 }
 
-// pairer groups closing flows by (client IP, server) and classifies
-// each pair. It runs entirely on the emitter goroutine: no locks.
+// pairer is a shard tracker's online form of Pair. It hears of every
+// flow the tracker opens and finishes, releases each address pair's
+// finished flows in capture order once no flow that started no later is
+// still live, applies Pair's rule to them (a valid flow pairs with its
+// group's next flow), and classifies every pair on the shard's session.
+// It runs on the shard worker: no locks.
 type pairer struct {
-	id         *core.Identifier
-	pending    map[string]*FlowTrace
-	order      []string // FIFO of group keys with a pending flow
-	maxPending int
-	onResult   func(FlowIdentification)
+	sess    *core.Session
+	hosts   map[hostPair]*hostFlows
+	waiting int // flows in closed or held across hosts
+	max     int
+	s       *Stream // results go to s.send from this shard
+	shard   int
 }
 
-func (p *pairer) add(f *FlowTrace) {
-	gk := f.ClientIP + "|" + f.Server
-	if a, ok := p.pending[gk]; ok {
-		delete(p.pending, gk)
-		p.dropOrder(gk)
-		p.classify(FlowIdentification{A: a, B: f})
-		return
+func hostPairOf(k flowKey) hostPair { return hostPair{k.a.ip, k.b.ip} }
+
+// opened records a flow the tracker just started.
+func (p *pairer) opened(s *state) {
+	hp := hostPairOf(s.key)
+	h := p.hosts[hp]
+	if h == nil {
+		h = &hostFlows{}
+		p.hosts[hp] = h
 	}
-	if f.Trace != nil && f.Trace.Valid() {
-		// A valid timed-out trace waits for its environment-B companion.
-		if len(p.pending) >= p.maxPending {
-			oldest := p.order[0]
-			p.order = p.order[1:]
-			a := p.pending[oldest]
-			delete(p.pending, oldest)
-			p.classify(FlowIdentification{A: a})
-		}
-		p.pending[gk] = f
-		p.order = append(p.order, gk)
-		return
-	}
-	p.classify(FlowIdentification{A: f})
+	h.live = append(h.live, s)
 }
 
-func (p *pairer) dropOrder(gk string) {
-	for i, k := range p.order {
-		if k == gk {
-			p.order = append(p.order[:i], p.order[i+1:]...)
+// closed takes a flow the tracker just finished; ft is nil when the
+// tracker dropped it (MaxEmitted).
+func (p *pairer) closed(s *state, ft *FlowTrace) {
+	hp := hostPairOf(s.key)
+	h := p.hosts[hp]
+	h.live = slices.DeleteFunc(h.live, func(l *state) bool { return l == s })
+	if ft != nil {
+		i, _ := slices.BinarySearchFunc(h.closed, ft, flowCmp)
+		h.closed = slices.Insert(h.closed, i, ft)
+		p.waiting++
+	}
+	p.release(h, false)
+	if len(h.live)+len(h.closed)+len(h.held) == 0 {
+		delete(p.hosts, hp)
+	}
+	for p.waiting > p.max {
+		p.drain(p.oldest())
+	}
+}
+
+// release pairs h's finished flows in capture order, stopping at the
+// first one that a live flow started no later than; force ignores live
+// flows.
+func (p *pairer) release(h *hostFlows, force bool) {
+	for len(h.closed) > 0 {
+		f := h.closed[0]
+		if !force && slices.ContainsFunc(h.live, func(l *state) bool { return !l.first.After(f.Start) }) {
 			return
 		}
+		h.closed = slices.Delete(h.closed, 0, 1)
+		p.waiting--
+		p.pair(h, f)
 	}
 }
 
-// flush classifies every flow still waiting for a companion.
-func (p *pairer) flush() {
-	for _, gk := range p.order {
-		if a, ok := p.pending[gk]; ok {
-			delete(p.pending, gk)
-			p.classify(FlowIdentification{A: a})
+// pair applies Pair's rule to the group's next flow in capture order.
+func (p *pairer) pair(h *hostFlows, f *FlowTrace) {
+	i := slices.IndexFunc(h.held, func(a *FlowTrace) bool { return a.ClientIP == f.ClientIP && a.Server == f.Server })
+	switch {
+	case i >= 0:
+		a := h.held[i]
+		h.held = slices.Delete(h.held, i, i+1)
+		p.waiting--
+		p.classify(a, f)
+	case f.Trace != nil && f.Trace.Valid():
+		h.held = append(h.held, f)
+		p.waiting++
+	default:
+		p.classify(f, nil)
+	}
+}
+
+// drain classifies everything h holds back -- its finished flows in
+// capture order, then its held flows unpaired -- and forgets h unless
+// flows of it are still live.
+func (p *pairer) drain(hp hostPair, h *hostFlows) {
+	p.release(h, true)
+	for _, a := range h.held {
+		p.waiting--
+		p.classify(a, nil)
+	}
+	h.held = nil
+	if len(h.live) == 0 {
+		delete(p.hosts, hp)
+	}
+}
+
+// oldest finds the address pair holding the longest-waiting flow.
+func (p *pairer) oldest() (hostPair, *hostFlows) {
+	var key hostPair
+	var old *hostFlows
+	var at time.Time
+	for hp, h := range p.hosts {
+		for _, fs := range [][]*FlowTrace{h.closed, h.held} {
+			if len(fs) > 0 && (old == nil || fs[0].Start.Before(at)) {
+				key, old, at = hp, h, fs[0].Start
+			}
 		}
 	}
-	p.order = p.order[:0]
+	return key, old
 }
 
-func (p *pairer) classify(fi FlowIdentification) {
-	out := p.id.IdentifyResult(pairResult(&fi))
-	out.Elapsed = fi.A.End.Sub(fi.A.Start)
-	if fi.B != nil {
-		out.Elapsed += fi.B.End.Sub(fi.B.Start)
+// flush drains every address pair at end of input.
+func (p *pairer) flush() {
+	for hp, h := range p.hosts {
+		p.drain(hp, h)
 	}
-	fi.ID = out
-	if p.onResult != nil {
-		p.onResult(fi)
+}
+
+// classify identifies the pair (a, b) (b nil when unpaired) and sends
+// the result to the emitter.
+func (p *pairer) classify(a, b *FlowTrace) {
+	fi := FlowIdentification{A: a, B: b}
+	fi.ID = p.sess.IdentifyResult(pairResult(&fi))
+	fi.ID.Elapsed = a.End.Sub(a.Start)
+	if b != nil {
+		fi.ID.Elapsed += b.End.Sub(b.Start)
 	}
+	p.s.send(p.shard, fi)
 }

@@ -12,9 +12,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/classify"
+	"repro/internal/core"
 	"repro/internal/pcap"
 	"repro/internal/pcapgen"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // pktEvent is one generated capture packet, before time-sorting.
@@ -26,65 +29,87 @@ type pktEvent struct {
 
 // synthCapture generates a multi-flow classic pcap from a seed: flows
 // with handshakes, data rounds, and occasional timeout signatures,
-// interleaved in time. Every intra-flow gap stays under 900ms -- below
-// the smallest online idle-expiry threshold (1s) -- so online and
-// offline reconstruction must agree exactly.
+// interleaved in time. Four clients and three servers make twelve
+// (client IP, server) groups, so a group's flows overlap and pairing
+// has material. Every intra-flow gap stays under 900ms -- below the
+// smallest online idle-expiry threshold (1s) -- so online and offline
+// reconstruction must agree exactly.
 func synthCapture(seed int64, nflows int) []byte {
 	rng := rand.New(rand.NewSource(seed))
-	base := time.Unix(1700000000, 0).UTC()
 	var events []pktEvent
-	order := 0
 	add := func(at time.Duration, spec pcap.FrameSpec) {
-		events = append(events, pktEvent{at: at, spec: spec, order: order})
-		order++
+		events = append(events, pktEvent{at: at, spec: spec, order: len(events)})
 	}
 	for f := 0; f < nflows; f++ {
-		// A handful of (client, server) groups so pairing has material.
-		client := netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 0, byte(1 + f%4), byte(10 + f%50)}), uint16(40000+f))
+		client := netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 0, 1, byte(10 + f%4)}), uint16(40000+f))
 		server := netip.AddrPortFrom(netip.AddrFrom4([4]byte{192, 168, 0, byte(1 + f%3)}), 80)
 		start := time.Duration(rng.Intn(20000)) * time.Millisecond
 		rtt := time.Duration(100+rng.Intn(200)) * time.Millisecond
 		mss := uint16(500 + rng.Intn(1000))
-
-		// Handshake.
-		add(start, pcap.FrameSpec{Src: client, Dst: server, Seq: 0, Flags: pcap.FlagSYN,
-			Opt: pcap.TCPOptions{HasMSS: true, MSS: mss}})
-		add(start+rtt/2, pcap.FrameSpec{Src: server, Dst: client, Seq: 0, Ack: 1,
-			Flags: pcap.FlagSYN | pcap.FlagACK, Opt: pcap.TCPOptions{HasMSS: true, MSS: mss}})
-		add(start+rtt, pcap.FrameSpec{Src: client, Dst: server, Seq: 1, Ack: 1, Flags: pcap.FlagACK})
-
-		// Data rounds from the server.
-		at := start + rtt + time.Duration(rng.Intn(20))*time.Millisecond
-		seq := uint32(1)
-		w := 2
+		jitter := time.Duration(rng.Intn(20)) * time.Millisecond
 		rounds := 3 + rng.Intn(6)
-		for r := 0; r < rounds; r++ {
-			for i := 0; i < w; i++ {
-				add(at+time.Duration(i)*time.Millisecond, pcap.FrameSpec{
-					Src: server, Dst: client, Seq: seq, Ack: 1, Flags: pcap.FlagACK,
-					PayloadLen: int(mss)})
-				seq += uint32(mss)
-			}
-			at += rtt
-			if w < 64 {
-				w *= 2
-			}
-		}
-		if rng.Intn(2) == 0 {
-			// Timeout signature: silence then a retransmission.
-			at += 3 * rtt
-			add(at, pcap.FrameSpec{Src: server, Dst: client, Seq: seq - uint32(mss), Ack: 1,
-				Flags: pcap.FlagACK, PayloadLen: int(mss)})
-			add(at+rtt, pcap.FrameSpec{Src: server, Dst: client, Seq: seq, Ack: 1,
-				Flags: pcap.FlagACK, PayloadLen: int(mss)})
+		addTransfer(add, client, server, start, rtt, jitter, mss, rounds, rng.Intn(2) == 0)
+	}
+	return encodeEvents(events)
+}
+
+// addTransfer generates one server-to-client bulk transfer: a handshake
+// at start, rounds data rounds of a doubling window from jitter after
+// the handshake, and -- when timeout is set -- the CAAI timeout
+// signature: three RTTs of silence, a retransmission, then
+// trace.ValidPostRounds rounds of new data, so the trace is valid.
+func addTransfer(add func(time.Duration, pcap.FrameSpec), client, server netip.AddrPort,
+	start, rtt, jitter time.Duration, mss uint16, rounds int, timeout bool) {
+	add(start, pcap.FrameSpec{Src: client, Dst: server, Seq: 0, Flags: pcap.FlagSYN,
+		Opt: pcap.TCPOptions{HasMSS: true, MSS: mss}})
+	add(start+rtt/2, pcap.FrameSpec{Src: server, Dst: client, Seq: 0, Ack: 1,
+		Flags: pcap.FlagSYN | pcap.FlagACK, Opt: pcap.TCPOptions{HasMSS: true, MSS: mss}})
+	add(start+rtt, pcap.FrameSpec{Src: client, Dst: server, Seq: 1, Ack: 1, Flags: pcap.FlagACK})
+
+	at := start + rtt + jitter
+	seq := uint32(1)
+	data := func(at time.Duration, w int) {
+		for i := 0; i < w; i++ {
+			add(at+time.Duration(i)*time.Millisecond, pcap.FrameSpec{
+				Src: server, Dst: client, Seq: seq, Ack: 1, Flags: pcap.FlagACK,
+				PayloadLen: int(mss)})
+			seq += uint32(mss)
 		}
 	}
+	w := 2
+	for r := 0; r < rounds; r++ {
+		data(at, w)
+		at += rtt
+		if w < 64 {
+			w *= 2
+		}
+	}
+	if !timeout {
+		return
+	}
+	at += 3 * rtt
+	add(at, pcap.FrameSpec{Src: server, Dst: client, Seq: seq - uint32(mss), Ack: 1,
+		Flags: pcap.FlagACK, PayloadLen: int(mss)})
+	w = 1
+	for r := 0; r < trace.ValidPostRounds; r++ {
+		at += rtt
+		data(at, w)
+		if w < 8 {
+			w *= 2
+		}
+	}
+}
+
+// encodeEvents sorts generated packets by time (ties in generation
+// order) and writes them as a classic Ethernet pcap.
+func encodeEvents(events []pktEvent) []byte {
 	sort.SliceStable(events, func(i, j int) bool {
 		if events[i].at != events[j].at {
 			return events[i].at < events[j].at
 		}
 		return events[i].order < events[j].order
 	})
+	base := time.Unix(1700000000, 0).UTC()
 	var buf bytes.Buffer
 	w, err := pcap.NewWriter(&buf, pcap.LinkEthernet, 0)
 	if err != nil {
@@ -189,22 +214,27 @@ func TestStreamExpiryActuallyFires(t *testing.T) {
 
 // FuzzOnlineOfflineEquivalence fuzzes the equivalence property over
 // generated captures: whatever flow mix, timing spread, and shard count
-// the seed picks, online must equal offline.
+// the seed picks, online must equal offline -- the flow set, and the
+// classified pair list of an identify stream against the sequential
+// Tracker.Finish -> Pair -> IdentifyResult reference.
 func FuzzOnlineOfflineEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(10), uint8(2))
 	f.Add(int64(99), uint8(30), uint8(5))
 	f.Add(int64(-7), uint8(1), uint8(1))
+	model := loadGoldenModel(f)
 	f.Fuzz(func(t *testing.T, seed int64, nflows, shards uint8) {
 		n := int(nflows)%48 + 1
 		data := synthCapture(seed, n)
 		cfg := Config{MaxFlows: 1 << 16, MaxEmitted: -1}
+		scfg := StreamConfig{Tracker: cfg, Shards: int(shards)%8 + 1, RingBytes: 32 << 10}
 		offline, _, err := Reassemble(bytes.NewReader(data), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		online, _ := streamCollect(t, data, StreamConfig{
-			Tracker: cfg, Shards: int(shards)%8 + 1, RingBytes: 32 << 10}, 4096)
+		online, _ := streamCollect(t, data, scfg, 4096)
 		equivalentFlows(t, offline, online, "fuzz")
+		samePairs(t, referencePairs(t, data, cfg, model),
+			streamPairs(t, data, model, IdentifyStreamOptions{Stream: scfg}, 4096), "fuzz")
 	})
 }
 
@@ -338,9 +368,90 @@ func TestStreamContextCancelUnblocks(t *testing.T) {
 	}
 }
 
+// pairView is the comparable form of one classified pair.
+type pairView struct {
+	Server, ClientA, ClientB string
+	Label                    string
+	Confidence               float64
+	Valid                    bool
+}
+
+func viewPairs(pairs []FlowIdentification) []pairView {
+	out := make([]pairView, len(pairs))
+	for i, p := range pairs {
+		out[i] = pairView{Server: p.A.Server, ClientA: p.A.Client,
+			Label: p.ID.Label, Confidence: p.ID.Confidence, Valid: p.ID.Valid}
+		if p.B != nil {
+			out[i].ClientB = p.B.Client
+		}
+	}
+	return out
+}
+
+// referencePairs is the sequential reference every sharded identify
+// path must reproduce: one offline tracker (Tracker.Finish), Pair, and
+// IdentifyResult per pair.
+func referencePairs(t testing.TB, data []byte, cfg Config, model classify.Classifier) []pairView {
+	t.Helper()
+	rd, err := pcap.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := NewTracker(cfg)
+	var pkt pcap.Packet
+	for rd.Next(&pkt) == nil {
+		tr.Observe(&pkt)
+	}
+	pairs := Pair(tr.Finish())
+	id := core.NewIdentifier(model)
+	for i := range pairs {
+		pairs[i].ID = id.IdentifyResult(pairResult(&pairs[i]))
+	}
+	return viewPairs(pairs)
+}
+
+// streamPairs runs data through an identify stream in chunk-sized
+// writes and returns its results in capture order.
+func streamPairs(t testing.TB, data []byte, model classify.Classifier, opts IdentifyStreamOptions, chunk int) []pairView {
+	t.Helper()
+	var got []FlowIdentification
+	st := NewIdentifyStream(context.Background(), model, opts, func(fi FlowIdentification) {
+		got = append(got, fi)
+	})
+	for off := 0; off < len(data); off += chunk {
+		if _, err := st.Write(data[off:min(off+chunk, len(data))]); err != nil {
+			t.Fatalf("stream write: %v", err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("stream close: %v", err)
+	}
+	sort.Slice(got, func(i, j int) bool { return flowLess(got[i].A, got[j].A) })
+	return viewPairs(got)
+}
+
+// samePairs asserts two pair lists agree pair for pair.
+func samePairs(t testing.TB, want, got []pairView, label string) {
+	t.Helper()
+	for i := 0; i < len(want) || i < len(got); i++ {
+		var w, g pairView
+		if i < len(want) {
+			w = want[i]
+		}
+		if i < len(got) {
+			g = got[i]
+		}
+		if w != g {
+			t.Fatalf("%s: %d pairs, reference %d; pair %d:\n got %+v\nwant %+v", label, len(got), len(want), i, g, w)
+		}
+	}
+}
+
 // TestIdentifyStreamMatchesOffline runs a real multi-server pcapgen
-// capture through the streaming classify path and expects the same
-// label per server as the offline IdentifyCapture path.
+// capture through the streaming classify path at every shard count from
+// 1 to 8, and through IdentifyCapture, and expects the sequential
+// reference's pair list exactly: same A and B clients, label and
+// confidence.
 func TestIdentifyStreamMatchesOffline(t *testing.T) {
 	model := loadGoldenModel(t)
 	specs := []pcapgen.ServerSpec{
@@ -352,33 +463,58 @@ func TestIdentifyStreamMatchesOffline(t *testing.T) {
 	if _, err := pcapgen.Generate(&buf, specs, pcapgen.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	pairs, _, err := IdentifyCapture(bytes.NewReader(buf.Bytes()), model, IdentifyOptions{})
+	data := buf.Bytes()
+	want := referencePairs(t, data, Config{}, model)
+	paired := 0
+	for _, p := range want {
+		if p.ClientB != "" {
+			paired++
+		}
+	}
+	if paired != len(specs) {
+		t.Fatalf("reference paired %d flows, want one pair per server (%d)", paired, len(specs))
+	}
+	for shards := 1; shards <= 8; shards++ {
+		opts := IdentifyStreamOptions{Stream: StreamConfig{Shards: shards, RingBytes: 64 << 10, BatchPackets: 32}}
+		samePairs(t, want, streamPairs(t, data, model, opts, 48<<10+7), "shards="+itoa(shards))
+	}
+	pairs, _, err := IdentifyCapture(bytes.NewReader(data), model, IdentifyStreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]string{}
-	for _, p := range pairs {
-		want[p.A.Server] = p.ID.Label
-	}
+	samePairs(t, want, viewPairs(pairs), "IdentifyCapture")
+}
 
-	got := map[string]string{}
-	var nResults int
-	st := NewIdentifyStream(context.Background(), model, IdentifyStreamOptions{}, func(fi FlowIdentification) {
-		nResults++
-		if fi.B != nil { // the paired (A,B) identification carries the label
-			got[fi.A.Server] = fi.ID.Label
-		}
-	})
-	if _, err := io.Copy(st, bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
+// TestIdentifyStreamPairsInStartOrder pins flow-start-order pairing when
+// a group's flows close out of order: environment A starts first and
+// runs long, environment B starts later and idle-expires while A is
+// still live. The stream must hold B back until A closes, then pair
+// (A, B) as the reference does, instead of classifying B first.
+func TestIdentifyStreamPairsInStartOrder(t *testing.T) {
+	model := loadGoldenModel(t)
+	var events []pktEvent
+	add := func(at time.Duration, spec pcap.FrameSpec) {
+		events = append(events, pktEvent{at: at, spec: spec, order: len(events)})
 	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
+	server := netip.MustParseAddrPort("192.168.0.1:80")
+	a := netip.MustParseAddrPort("10.0.0.1:40000")
+	b := netip.MustParseAddrPort("10.0.0.1:40001")
+	rtt := 100 * time.Millisecond
+	addTransfer(add, a, server, 0, rtt, 0, 1000, 6, true)
+	addTransfer(add, b, server, 500*time.Millisecond, rtt, 0, 1000, 3, false)
+	data := encodeEvents(events)
+
+	want := referencePairs(t, data, Config{}, model)
+	if len(want) != 1 || want[0].ClientA != a.String() || want[0].ClientB != b.String() {
+		t.Fatalf("reference pairs %+v, want one (%s, %s) pair", want, a, b)
 	}
-	if nResults != len(pairs) {
-		t.Fatalf("stream produced %d results, offline %d", nResults, len(pairs))
+	var m StreamMetrics
+	m.Tracker.Expired = &telemetry.Counter{}
+	for shards := 1; shards <= 4; shards++ {
+		opts := IdentifyStreamOptions{Stream: StreamConfig{Shards: shards, Metrics: &m}}
+		samePairs(t, want, streamPairs(t, data, model, opts, 1<<20), "shards="+itoa(shards))
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("streamed labels %v, offline %v", got, want)
+	if m.Tracker.Expired.Load() == 0 {
+		t.Fatal("B never idle-expired: the capture no longer closes B before A")
 	}
 }

@@ -2,16 +2,19 @@ package pcap
 
 import "encoding/binary"
 
-// TupleHash extracts the TCP 4-tuple from a raw frame without a full
-// decode and returns a direction-normalized hash: both directions of a
-// connection map to the same value, so a pipeline that shards packets
-// by TupleHash keeps every flow on one worker. The sniff walks the same
-// link/IP layers as ParseFrame but reads only addresses and ports.
+// TupleHash sniffs a raw TCP frame without a full decode and returns a
+// hash of its address pair that ignores direction and ports: both
+// directions of a connection, and every connection between the same two
+// hosts, map to the same value. A pipeline that shards packets by
+// TupleHash therefore keeps each (client IP, server) group of flows --
+// the unit CAAI pairs into environment A and B -- on one worker. The
+// sniff walks the same link/IP layers as ParseFrame but reads only
+// addresses and header lengths.
 //
 // ok is false when the frame has no reachable TCP 4-tuple. The sniff is
 // deliberately laxer than the full parse in that case -- a frame
-// ParseFrame classifies as TCP always sniffs ok with the right tuple
-// (pinned by TestTupleHashAgreesWithParse), while a frame that sniffs
+// ParseFrame classifies as TCP always sniffs ok with the right address
+// pair (pinned by TestTupleHashAgreesWithParse), while a frame that sniffs
 // ok may still fail the full parse; it then just lands on some shard
 // and is counted skipped or truncated there.
 func TupleHash(linkType uint32, data []byte) (uint64, bool) {
@@ -79,7 +82,7 @@ func TupleSniff(linkType uint32, data []byte) (hash uint64, span int, ok bool) {
 	return 0, 0, false
 }
 
-// sniffV4 hashes an IPv4 packet's 4-tuple. base is the link-layer byte
+// sniffV4 hashes an IPv4 packet's address pair. base is the link-layer byte
 // count preceding data; the returned span is relative to the whole frame.
 func sniffV4(data []byte, base int) (uint64, int, bool) {
 	if len(data) < 20 || data[0]>>4 != 4 {
@@ -105,10 +108,10 @@ func sniffV4(data []byte, base int) (uint64, int, bool) {
 			span = base + ihl + dataOff
 		}
 	}
-	return tupleHash(data[12:16], data[16:20], be.Uint16(tcp[0:2]), be.Uint16(tcp[2:4])), span, true
+	return pairHash(data[12:16], data[16:20]), span, true
 }
 
-// sniffV6 hashes an IPv6 packet's 4-tuple, walking the extension chain
+// sniffV6 hashes an IPv6 packet's address pair, walking the extension chain
 // the same way parseIPv6 does. base is as in sniffV4.
 func sniffV6(data []byte, base int) (uint64, int, bool) {
 	if len(data) < 40 || data[0]>>4 != 6 {
@@ -129,7 +132,7 @@ func sniffV6(data []byte, base int) (uint64, int, bool) {
 					span = base + off + dataOff
 				}
 			}
-			return tupleHash(data[8:24], data[24:40], be.Uint16(rest[0:2]), be.Uint16(rest[2:4])), span, true
+			return pairHash(data[8:24], data[24:40]), span, true
 		case 0, 43, 60: // hop-by-hop, routing, destination options
 			if len(rest) < 8 {
 				return 0, 0, false
@@ -158,24 +161,27 @@ func sniffV6(data []byte, base int) (uint64, int, bool) {
 	return 0, 0, false
 }
 
-// tupleHash combines the two endpoints order-independently, so both
+// pairHash combines the two addresses order-independently, so both
 // packet directions hash identically, then runs a finalizer so shard
 // selection by modulo sees well-mixed bits.
-func tupleHash(srcIP, dstIP []byte, srcPort, dstPort uint16) uint64 {
-	a := endpointHash(srcIP, srcPort)
-	b := endpointHash(dstIP, dstPort)
+func pairHash(srcIP, dstIP []byte) uint64 {
+	a := addrHash(srcIP)
+	b := addrHash(dstIP)
 	return mix64(a + b + (a^b)<<1)
 }
 
-// endpointHash is FNV-1a over the address bytes and port.
-func endpointHash(ip []byte, port uint16) uint64 {
+// addrHash is FNV-1a over the address bytes closed by two zero bytes.
+// The two extra rounds spread a last-octet difference further before
+// the combine: 28 servers numbered consecutively in one /16 split 16/12
+// over 2 shards and 6/7/10/5 over 4 with them, 12/16 and 10/9/2/7
+// without.
+func addrHash(ip []byte) uint64 {
+	const prime = 1099511628211
 	h := uint64(14695981039346656037)
 	for _, c := range ip {
-		h = (h ^ uint64(c)) * 1099511628211
+		h = (h ^ uint64(c)) * prime
 	}
-	h = (h ^ uint64(port&0xff)) * 1099511628211
-	h = (h ^ uint64(port>>8)) * 1099511628211
-	return h
+	return h * prime * prime
 }
 
 // mix64 is the SplitMix64 finalizer.

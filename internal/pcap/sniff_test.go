@@ -25,15 +25,26 @@ func sniffFrames() []*FrameSpec {
 }
 
 // TestTupleHashAgreesWithParse pins the sniffer's contract: every frame
-// the full parse classifies as TCP must sniff ok, and every packet of
-// one connection -- both directions -- must land on the same hash.
+// the full parse classifies as TCP must sniff ok, every packet between
+// one address pair -- both directions, any ports -- must land on the
+// same hash (group affinity), and distinct address pairs must still mix.
 func TestTupleHashAgreesWithParse(t *testing.T) {
-	data := buildCapture(t, "pcap", 0, sniffFrames()...)
+	frames := sniffFrames()
+	// A second connection for two of the pairs, on other ports: it must
+	// share its pair's hash.
+	for _, i := range []int{0, 5} {
+		src := netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 0, 0, byte(1 + i)}), uint16(50000+i))
+		dst := netip.AddrPortFrom(testDst.Addr(), 8080)
+		frames = append(frames,
+			&FrameSpec{Src: src, Dst: dst, Seq: 7, Flags: FlagSYN},
+			&FrameSpec{Src: dst, Dst: src, Seq: 9, Ack: 8, Flags: FlagSYN | FlagACK})
+	}
+	data := buildCapture(t, "pcap", 0, frames...)
 	r, err := NewReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	byFlow := map[string]uint64{}
+	byPair := map[string]uint64{}
 	hashes := map[uint64]bool{}
 	var rec RawRecord
 	var pkt Packet
@@ -53,23 +64,24 @@ func TestTupleHashAgreesWithParse(t *testing.T) {
 		if !ok {
 			t.Fatalf("parse said TCP but sniff failed: %s -> %s", pkt.Src(), pkt.Dst())
 		}
-		// Direction-normalized flow name.
-		a, b := pkt.Src(), pkt.Dst()
+		// Direction-normalized address pair.
+		a := netip.AddrFrom16(pkt.SrcIP).Unmap().String()
+		b := netip.AddrFrom16(pkt.DstIP).Unmap().String()
 		if b < a {
 			a, b = b, a
 		}
 		key := a + "|" + b
-		if prev, seen := byFlow[key]; seen && prev != h {
-			t.Fatalf("flow %s hashed to both %x and %x", key, prev, h)
+		if prev, seen := byPair[key]; seen && prev != h {
+			t.Fatalf("address pair %s hashed to both %x and %x", key, prev, h)
 		}
-		byFlow[key] = h
+		byPair[key] = h
 		hashes[h] = true
 	}
-	if len(byFlow) != 9 {
-		t.Fatalf("flows = %d, want 9", len(byFlow))
+	if len(byPair) != 9 {
+		t.Fatalf("address pairs = %d, want 9", len(byPair))
 	}
 	if len(hashes) < 8 {
-		t.Fatalf("only %d distinct hashes over 9 flows: sniffer mixes poorly", len(hashes))
+		t.Fatalf("only %d distinct hashes over 9 address pairs: sniffer mixes poorly", len(hashes))
 	}
 }
 

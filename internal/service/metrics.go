@@ -40,9 +40,10 @@ type metrics struct {
 	pcapFlowsClassifiable atomic.Int64 // flows that yielded a valid trace
 	pcapDecodeErrors      atomic.Int64 // uploads rejected as undecodable
 	pcapBytes             atomic.Int64 // capture bytes ingested (throughput numerator)
-	// pcapDecode observes each upload's decode+reassembly wall clock (the
-	// throughput denominator, and the passive pipeline's gather latency at
-	// upload granularity).
+	// pcapDecode observes each upload's wall clock through decode,
+	// reassembly, pairing and classification (the throughput
+	// denominator, and the passive pipeline's latency at upload
+	// granularity).
 	pcapDecode telemetry.Histogram
 
 	// Streaming-capture counters (POST /v1/pcap/stream). The gauges

@@ -11,16 +11,18 @@ import (
 	"repro/internal/trace"
 )
 
-// handlePcap accepts a raw pcap/pcapng capture (octet-stream body),
-// reassembles its TCP flows while streaming the upload -- the decoder
-// never buffers the whole file -- and enqueues the paired flows as an
-// async classification job on the batch queue. The response is the same
+// handlePcap accepts a raw pcap/pcapng capture (octet-stream body) and
+// identifies its flows while streaming the upload -- the decoder never
+// buffers the whole file -- through the same sharded pipeline as POST
+// /v1/pcap/stream (flow.IdentifyCapture), then enqueues the classified
+// pairs as an async job on the batch queue. The response is the same
 // 202 + job envelope POST /v1/batch uses; per-flow results appear in the
 // job payload. ?model= selects the registry model.
 func (s *Service) handlePcap(w http.ResponseWriter, r *http.Request) {
 	s.metrics.pcapUploads.Add(1)
 	modelName := r.URL.Query().Get("model")
-	if _, err := s.registry.Get(modelName); err != nil {
+	model, err := s.registry.Get(modelName)
+	if err != nil {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
 	}
@@ -30,7 +32,8 @@ func (s *Service) handlePcap(w http.ResponseWriter, r *http.Request) {
 	// wrapper feeds the ingest-throughput metrics (bytes over decode time).
 	body := &countingReader{r: http.MaxBytesReader(w, r.Body, maxBodyBytes)}
 	decodeStart := time.Now()
-	flows, stats, err := flow.Reassemble(body, flow.Config{})
+	pairs, stats, err := flow.IdentifyCapture(body, model.Identifier().Classifier(),
+		flow.IdentifyStreamOptions{Stream: flow.StreamConfig{Shards: s.cfg.Parallelism}})
 	decodeSpan := time.Since(decodeStart)
 	s.metrics.pcapBytes.Add(body.n.Load())
 	s.metrics.pcapDecode.Observe(decodeSpan)
@@ -43,7 +46,7 @@ func (s *Service) handlePcap(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusRequestEntityTooLarge, "%v", errBodyTooLarge)
 			return
 		}
-		writeError(w, http.StatusBadRequest, "decoding capture: %v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if stats.Flows == 0 {
@@ -51,12 +54,11 @@ func (s *Service) handlePcap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	pairs := flow.Pair(flows)
 	j, err := s.enqueue(r.Context(), &job{
-		model:      modelName,
-		pcap:       pairs,
-		total:      len(pairs),
-		gatherSpan: decodeSpan,
+		model:   modelName,
+		pcap:    pairs,
+		version: model.Version(),
+		total:   len(pairs),
 	})
 	if err != nil {
 		if errors.Is(err, errQueueFull) {
@@ -88,30 +90,20 @@ type PcapAccepted struct {
 	Stats flow.CaptureStats `json:"capture"`
 }
 
-// runPcap executes one accepted capture job: every flow pair is
-// classified on the engine pool, streaming per-flow completions into the
-// job's progress counter. Classification of reconstructed traces needs no
-// probing, so capture jobs drain quickly even between long probe batches.
+// runPcap executes one accepted capture job: the upload handler already
+// classified every flow pair, so the job renders each one into its
+// result slot and aggregates its stage spans.
 func (s *Service) runPcap(j *job) {
-	model, err := s.registry.Get(j.model)
-	if err != nil {
-		j.fail(err.Error())
-		s.metrics.jobsFailed.Add(1)
-		return
+	for i := range j.pcap {
+		if j.ctx.Err() != nil {
+			break
+		}
+		s.metrics.pipeline.ObserveTimings(&j.pcap[i].ID.Timings)
+		resp := toFlowResponse(j.version, j.pcap[i])
+		s.metrics.identifies.Add(1)
+		s.metrics.countLabel(resp)
+		j.complete(i, resp, false)
 	}
-	version := model.Version()
-	_ = flow.ClassifyAll(j.ctx, j.pcap, model.Identifier().Classifier(), flow.ClassifyOptions{
-		Parallelism: s.cfg.Parallelism,
-		Timings:     true,
-		Telemetry:   &s.metrics.pipeline,
-		GatherSpan:  j.gatherSpan,
-		OnResult: func(i int) {
-			resp := toFlowResponse(version, j.pcap[i])
-			s.metrics.identifies.Add(1)
-			s.metrics.countLabel(resp)
-			j.complete(i, resp, false)
-		},
-	})
 	// The pairs (cloned traces, endpoint strings) are only needed to fill
 	// results; dropping them here keeps the finished-job retention window
 	// from pinning whole captures' worth of dead flow state.

@@ -29,9 +29,11 @@ type job struct {
 	id    string
 	model string
 	specs []JobSpec
-	// pcap carries a capture job's reassembled flow pairs; nil for probe
-	// batches. The worker dispatches on it.
-	pcap []flow.FlowIdentification
+	// pcap carries a capture job's classified flow pairs, and version
+	// the model version that classified them; nil for probe batches. The
+	// worker dispatches on pcap.
+	pcap    []flow.FlowIdentification
+	version string
 	// census carries a census job's request and live coordinator; nil
 	// otherwise. Census jobs report progress through the coordinator
 	// instead of per-slot results.
@@ -48,9 +50,6 @@ type job struct {
 	// span tree covers the async work, not just the 202 acceptance.
 	reqID string
 	trace telemetry.TraceID
-	// gatherSpan is a pcap job's decode+reassembly wall clock, charged to
-	// its pairs as StageGather when classification records spans.
-	gatherSpan time.Duration
 
 	ctx    context.Context
 	cancel context.CancelFunc

@@ -41,9 +41,10 @@ type Config struct {
 	// Workers is how many batch jobs execute concurrently; 0 means 1.
 	// Each running job fans its probes out on the engine pool.
 	Workers int
-	// Parallelism bounds the engine pool per running batch and the number
-	// of concurrent synchronous /v1/identify probes (excess sync requests
-	// queue on a semaphore rather than saturating the CPU); 0 = all CPUs.
+	// Parallelism bounds the engine pool per running batch, the shards of
+	// one POST /v1/pcap upload, and the number of concurrent synchronous
+	// /v1/identify probes (excess sync requests queue on a semaphore
+	// rather than saturating the CPU); 0 = all CPUs.
 	Parallelism int
 	// MaxBatchJobs caps the jobs accepted in one POST /v1/batch; 0 means
 	// DefaultMaxBatchJobs.
