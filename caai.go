@@ -260,7 +260,7 @@ func (id *Identifier) IdentifyTimed(server *Server, cond Condition, cfg ProbeCon
 // (batched classification is bit-identical to scalar), it only changes
 // when results land: streaming arrives in block-sized bursts.
 func (id *Identifier) IdentifyBatch(jobs []BatchJob, opts BatchOptions) []BatchResult {
-	if opts.NewWorkerIdentifier == nil && opts.NewWorkerBlock == nil {
+	if opts.NewWorkerBlock == nil {
 		opts.NewWorkerBlock = func() engine.BlockIdentifier[core.Identification] {
 			return id.core.NewBlockSession()
 		}

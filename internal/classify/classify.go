@@ -32,8 +32,8 @@ type Classifier interface {
 }
 
 // BatchClassifier is implemented by backends that can classify a block of
-// feature vectors in one call (the random forest's reach-mask kernel
-// amortizes per-tree work over 64 samples at a time). Implementations
+// feature vectors in one call (the random forest advances every vector of
+// the block through each tree with branch-free compares). Implementations
 // must produce results identical to calling Classify per vector -- the
 // pipeline batches opportunistically wherever vectors pile up, and job
 // outcomes must not depend on how they were grouped into blocks.

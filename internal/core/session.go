@@ -19,9 +19,9 @@ import (
 // prober is rewound to a fresh state (clock, condition, RNG) for every
 // call.
 //
-// A Session is NOT safe for concurrent use; the engine hands one to each
-// pool worker (see engine.BatchConfig.NewWorkerIdentifier) and the service
-// pools them per model.
+// A Session is NOT safe for concurrent use; the census runners and the
+// capture stream's shards keep one per worker and the service pools them
+// per model.
 type Session struct {
 	id *Identifier
 	p  *probe.Prober

@@ -70,28 +70,20 @@ type BatchConfig[R any] struct {
 	// (completion order, not input order). Calls are serialized; the
 	// callback must not block for long or it stalls the pool.
 	OnResult func(Result[R])
-	// NewWorkerIdentifier, when set, is called once per pool worker; its
-	// result handles that worker's jobs instead of the shared identifier.
-	// Pipelines use it to give every worker private reusable scratch
-	// (probe buffers, feature scratch) without locks. Each returned
-	// identifier must produce results identical to the shared one -- job
-	// outcomes must not depend on which worker ran them.
-	NewWorkerIdentifier func() Identifier[R]
-	// NewWorkerBlock, when set, switches the batch to block inference and
-	// takes precedence over NewWorkerIdentifier: each pool worker gathers
-	// its jobs into a BlockIdentifier and the engine flushes a whole block
-	// through the model at once (every BlockSize gathered jobs, plus a
-	// final drain when the worker runs out of jobs or the batch is
-	// cancelled). Results are identical to the scalar path; OnResult
-	// streaming simply arrives in block-sized bursts.
+	// NewWorkerBlock, when set, switches the batch to block inference:
+	// each pool worker gathers its jobs into a BlockIdentifier and the
+	// engine flushes a whole block through the model at once (every
+	// DefaultBlockSize gathered jobs, plus a final drain when the worker
+	// runs out of jobs or the batch is cancelled). Results are identical
+	// to the scalar path; OnResult streaming simply arrives in
+	// block-sized bursts.
 	NewWorkerBlock func() BlockIdentifier[R]
-	// BlockSize is how many gathered jobs trigger a block flush;
-	// 0 = DefaultBlockSize. Only meaningful with NewWorkerBlock.
-	BlockSize int
 }
 
-// DefaultBlockSize is the block-inference flush width: one 64-lane chunk
-// of the forest's batched kernel, so a full flush is a single sweep.
+// DefaultBlockSize is the block-inference flush width: a worker's block
+// session classifies once it holds this many gathered jobs. It is large
+// enough to amortise the batched kernel's per-tree lane resets and small
+// enough that streamed results arrive in short bursts.
 const DefaultBlockSize = 64
 
 // jobSeedStride spaces derived per-job seeds (a prime, like the strides
@@ -149,10 +141,6 @@ func IdentifyBatch[R any](id Identifier[R], jobs []Job, cfg BatchConfig[R]) []Re
 		// job. The commit callback runs on the gathering worker's own
 		// goroutine; result slots are disjoint, so only the stream channel
 		// is shared.
-		blockSize := cfg.BlockSize
-		if blockSize <= 0 {
-			blockSize = DefaultBlockSize
-		}
 		blocks := make([]BlockIdentifier[R], Workers(len(jobs), cfg.Parallelism))
 		for w := range blocks {
 			blocks[w] = cfg.NewWorkerBlock()
@@ -166,7 +154,7 @@ func IdentifyBatch[R any](id Identifier[R], jobs []Job, cfg BatchConfig[R]) []Re
 		RunWorkersFlush(ctx, len(jobs), cfg.Parallelism,
 			func(w, i int) {
 				blocks[w].Gather(i, jobs[i].Server, jobs[i].Cond, cfg.Probe, jobRNG(w, i))
-				if blocks[w].Buffered() >= blockSize {
+				if blocks[w].Buffered() >= DefaultBlockSize {
 					blocks[w].Flush(commit)
 				}
 			},
@@ -175,22 +163,9 @@ func IdentifyBatch[R any](id Identifier[R], jobs []Job, cfg BatchConfig[R]) []Re
 			// deliver their result.
 			func(w int) { blocks[w].Flush(commit) })
 	} else {
-		// Per-worker identifiers (when offered) let each pool worker reuse
-		// its own probe/feature scratch across the jobs it runs.
-		var perWorker []Identifier[R]
-		if cfg.NewWorkerIdentifier != nil {
-			perWorker = make([]Identifier[R], Workers(len(jobs), cfg.Parallelism))
-			for w := range perWorker {
-				perWorker[w] = cfg.NewWorkerIdentifier()
-			}
-		}
 		RunWorkers(ctx, len(jobs), cfg.Parallelism, func(w, i int) {
-			ident := id
-			if perWorker != nil {
-				ident = perWorker[w]
-			}
 			jb := jobs[i]
-			out := ident.Identify(jb.Server, jb.Cond, cfg.Probe, jobRNG(w, i))
+			out := id.Identify(jb.Server, jb.Cond, cfg.Probe, jobRNG(w, i))
 			results[i] = Result[R]{Index: i, Job: jb, Out: out}
 			if stream != nil {
 				stream <- results[i]

@@ -39,41 +39,41 @@ func (b *fakeBlock) Flush(emit func(tag int, out fakeOut)) {
 	b.buf = b.buf[:0]
 }
 
+// blockJobs is two full DefaultBlockSize blocks plus a partial third, so a
+// single worker exercises both the in-loop flush and the epilogue drain.
+const blockJobs = 2*DefaultBlockSize + DefaultBlockSize/2
+
 // TestIdentifyBatchBlockMatchesScalar: the block path must reproduce the
-// scalar path result for result, whatever the block size or parallelism --
-// grouping jobs into blocks is an execution detail, not a semantic one.
+// scalar path result for result, whatever the parallelism -- grouping jobs
+// into blocks is an execution detail, not a semantic one.
 func TestIdentifyBatchBlockMatchesScalar(t *testing.T) {
-	jobs := batchJobs(50)
+	jobs := batchJobs(blockJobs + 3)
 	want := IdentifyBatch[fakeOut](fakeIdentifier{}, jobs, BatchConfig[fakeOut]{Parallelism: 1, Seed: 17})
 	for _, par := range []int{1, 3, 8} {
-		for _, bs := range []int{0, 1, 7, 64, 1000} {
-			got := IdentifyBatch[fakeOut](fakeIdentifier{}, jobs, BatchConfig[fakeOut]{
-				Parallelism:    par,
-				Seed:           17,
-				BlockSize:      bs,
-				NewWorkerBlock: func() BlockIdentifier[fakeOut] { return &fakeBlock{} },
-			})
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("parallelism %d block size %d: block results differ from scalar", par, bs)
-			}
+		got := IdentifyBatch[fakeOut](fakeIdentifier{}, jobs, BatchConfig[fakeOut]{
+			Parallelism:    par,
+			Seed:           17,
+			NewWorkerBlock: func() BlockIdentifier[fakeOut] { return &fakeBlock{} },
+		})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("parallelism %d: block results differ from scalar", par)
 		}
 	}
 }
 
-// TestIdentifyBatchBlockFlushWidths: a single worker over 10 jobs with
-// BlockSize 4 must drain exactly as 4+4+2 -- two full blocks and the
-// epilogue's partial flush.
+// TestIdentifyBatchBlockFlushWidths: a single worker over blockJobs jobs
+// must drain exactly as two full blocks and the epilogue's partial flush.
 func TestIdentifyBatchBlockFlushWidths(t *testing.T) {
 	var mu sync.Mutex
 	var flushes []int
-	IdentifyBatch[fakeOut](fakeIdentifier{}, batchJobs(10), BatchConfig[fakeOut]{
+	IdentifyBatch[fakeOut](fakeIdentifier{}, batchJobs(blockJobs), BatchConfig[fakeOut]{
 		Parallelism:    1,
 		Seed:           5,
-		BlockSize:      4,
 		NewWorkerBlock: func() BlockIdentifier[fakeOut] { return &fakeBlock{mu: &mu, flushes: &flushes} },
 	})
-	if !reflect.DeepEqual(flushes, []int{4, 4, 2}) {
-		t.Fatalf("flush widths = %v, want [4 4 2]", flushes)
+	want := []int{DefaultBlockSize, DefaultBlockSize, DefaultBlockSize / 2}
+	if !reflect.DeepEqual(flushes, want) {
+		t.Fatalf("flush widths = %v, want %v", flushes, want)
 	}
 }
 
@@ -81,13 +81,12 @@ func TestIdentifyBatchBlockFlushWidths(t *testing.T) {
 // exactly once, matching the returned slice, even though results arrive
 // in block-sized bursts.
 func TestIdentifyBatchBlockStreamsEveryResult(t *testing.T) {
-	jobs := batchJobs(25)
+	jobs := batchJobs(4*DefaultBlockSize + 25)
 	var mu sync.Mutex
 	seen := map[int]fakeOut{}
 	results := IdentifyBatch[fakeOut](fakeIdentifier{}, jobs, BatchConfig[fakeOut]{
 		Parallelism:    4,
 		Seed:           7,
-		BlockSize:      6,
 		NewWorkerBlock: func() BlockIdentifier[fakeOut] { return &fakeBlock{} },
 		OnResult: func(r Result[fakeOut]) {
 			mu.Lock()
@@ -111,19 +110,18 @@ func TestIdentifyBatchBlockStreamsEveryResult(t *testing.T) {
 // gathered keep zero slots.
 func TestIdentifyBatchBlockCancelDrainsGathered(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	jobs := batchJobs(300)
+	jobs := batchJobs(40 * DefaultBlockSize)
 	var mu sync.Mutex
 	streamed := 0
 	results := IdentifyBatch[fakeOut](fakeIdentifier{}, jobs, BatchConfig[fakeOut]{
 		Ctx:            ctx,
 		Parallelism:    2,
 		Seed:           3,
-		BlockSize:      8,
 		NewWorkerBlock: func() BlockIdentifier[fakeOut] { return &fakeBlock{} },
 		OnResult: func(Result[fakeOut]) {
 			mu.Lock()
 			streamed++
-			if streamed == 8 {
+			if streamed == DefaultBlockSize {
 				cancel()
 			}
 			mu.Unlock()

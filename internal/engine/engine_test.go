@@ -132,12 +132,12 @@ func TestIdentifyBatchStreamsEveryResult(t *testing.T) {
 	}
 }
 
-func TestRunCtxCancelledBeforeStart(t *testing.T) {
+func TestRunWorkersCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, par := range []int{1, 4} {
 		var ran int32
-		err := RunCtx(ctx, 100, par, func(int) { atomic.AddInt32(&ran, 1) })
+		err := RunWorkers(ctx, 100, par, func(_, _ int) { atomic.AddInt32(&ran, 1) })
 		if err == nil {
 			t.Fatalf("parallelism %d: want context error, got nil", par)
 		}
@@ -150,10 +150,10 @@ func TestRunCtxCancelledBeforeStart(t *testing.T) {
 	}
 }
 
-func TestRunCtxStopsSubmittingAfterCancel(t *testing.T) {
+func TestRunWorkersStopsSubmittingAfterCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran int32
-	err := RunCtx(ctx, 10_000, 2, func(i int) {
+	err := RunWorkers(ctx, 10_000, 2, func(_, _ int) {
 		if atomic.AddInt32(&ran, 1) == 5 {
 			cancel()
 		}
@@ -168,9 +168,9 @@ func TestRunCtxStopsSubmittingAfterCancel(t *testing.T) {
 	}
 }
 
-func TestRunCtxCompletesWithoutCancel(t *testing.T) {
+func TestRunWorkersCompletesWithoutCancel(t *testing.T) {
 	var ran int32
-	if err := RunCtx(context.Background(), 50, 3, func(int) { atomic.AddInt32(&ran, 1) }); err != nil {
+	if err := RunWorkers(context.Background(), 50, 3, func(_, _ int) { atomic.AddInt32(&ran, 1) }); err != nil {
 		t.Fatal(err)
 	}
 	if ran != 50 {
@@ -211,13 +211,13 @@ func TestIdentifyBatchCtxCancelSkipsRemainingJobs(t *testing.T) {
 	}
 }
 
-func TestRunCtxNilWhenCancelledAfterLastJob(t *testing.T) {
+func TestRunWorkersNilWhenCancelledAfterLastJob(t *testing.T) {
 	// Cancellation landing after every job was handed out must not be
 	// reported as a partial run.
 	for _, par := range []int{1, 2} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var ran int32
-		err := RunCtx(ctx, 50, par, func(i int) {
+		err := RunWorkers(ctx, 50, par, func(_, i int) {
 			if i == 49 {
 				cancel()
 			}

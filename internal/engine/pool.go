@@ -16,7 +16,7 @@ import (
 // DefaultParallelism is the worker count used when a caller passes 0.
 func DefaultParallelism() int { return runtime.GOMAXPROCS(0) }
 
-// Workers returns how many pool workers Run/RunCtx/RunWorkers spawn for n
+// Workers returns how many pool workers Run/RunWorkers spawn for n
 // jobs at the given parallelism: min(parallelism, n), with parallelism
 // <= 0 meaning DefaultParallelism. Callers that pre-size per-worker
 // scratch (see RunWorkers) use it to allocate exactly one slot per worker.
@@ -41,22 +41,17 @@ func Workers(n, parallelism int) int {
 // the intended pattern (it needs no locking and keeps output order
 // deterministic regardless of scheduling).
 func Run(n, parallelism int, fn func(i int)) {
-	RunCtx(context.Background(), n, parallelism, fn)
+	RunWorkers(context.Background(), n, parallelism, func(_, i int) { fn(i) })
 }
 
-// RunCtx is Run with cancellation: once ctx is done, no further jobs are
-// started (jobs already running finish normally) and RunCtx returns
-// ctx.Err(). It returns nil when every job ran -- including when ctx is
-// cancelled only after the last job was already handed to a worker.
-// Callers that need to know which jobs were skipped should record
-// completion inside fn.
-func RunCtx(ctx context.Context, n, parallelism int, fn func(i int)) error {
-	return RunWorkers(ctx, n, parallelism, func(_, i int) { fn(i) })
-}
-
-// RunWorkers is RunCtx with worker identity: fn receives the index of the
-// worker goroutine (in [0, Workers(n, parallelism))) running the job, so
-// callers can give each worker its own reusable scratch state -- one
+// RunWorkers is Run with cancellation and worker identity. Once ctx is
+// done, no further jobs are started (jobs already running finish
+// normally) and RunWorkers returns ctx.Err(). It returns nil when every
+// job ran -- including when ctx is cancelled only after the last job was
+// already handed to a worker. Callers that need to know which jobs were
+// skipped should record completion inside fn. fn receives the index of
+// the worker goroutine (in [0, Workers(n, parallelism))) running the job,
+// so callers can give each worker its own reusable scratch state -- one
 // session per worker, no locks -- instead of allocating per job. Jobs
 // must still not depend on *which* worker runs them.
 func RunWorkers(ctx context.Context, n, parallelism int, fn func(worker, job int)) error {

@@ -53,17 +53,19 @@ func TestRunWorkersIdentityInRange(t *testing.T) {
 	}
 }
 
-// countingFake mimics a scratch-carrying pipeline session: results match
-// the shared fakeIdentifier, and every job it runs is tallied.
-type countingFake struct{ n *atomic.Int64 }
-
-func (c countingFake) Identify(server *websim.Server, cond netem.Condition, cfg probe.Config, rng *rand.Rand) fakeOut {
-	c.n.Add(1)
-	return fakeIdentifier{}.Identify(server, cond, cfg, rng)
+// countingBlock is a fakeBlock that tallies every job it gathers.
+type countingBlock struct {
+	fakeBlock
+	n *atomic.Int64
 }
 
-// TestIdentifyBatchPerWorkerSessions: with NewWorkerIdentifier set, the
-// factory is called once per pool worker, every job runs on a session
+func (c *countingBlock) Gather(tag int, server *websim.Server, cond netem.Condition, cfg probe.Config, rng *rand.Rand) {
+	c.n.Add(1)
+	c.fakeBlock.Gather(tag, server, cond, cfg, rng)
+}
+
+// TestIdentifyBatchPerWorkerSessions: with NewWorkerBlock set, the factory
+// is called once per pool worker, every job runs on a worker's session
 // (never the shared identifier), and results are identical to the shared
 // run.
 func TestIdentifyBatchPerWorkerSessions(t *testing.T) {
@@ -76,11 +78,11 @@ func TestIdentifyBatchPerWorkerSessions(t *testing.T) {
 	got := IdentifyBatch[fakeOut](fakeIdentifier{}, jobs, BatchConfig[fakeOut]{
 		Parallelism: 4,
 		Seed:        5,
-		NewWorkerIdentifier: func() Identifier[fakeOut] {
+		NewWorkerBlock: func() BlockIdentifier[fakeOut] {
 			mu.Lock()
 			made++
 			mu.Unlock()
-			return countingFake{&jobCount}
+			return &countingBlock{n: &jobCount}
 		},
 	})
 	if !reflect.DeepEqual(got, want) {

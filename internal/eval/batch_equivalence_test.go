@@ -15,9 +15,8 @@ import (
 // These are the pipeline-level equivalence guards for block inference:
 // ClassifyBatch must agree with Classify bit for bit -- labels,
 // confidences, and raw vote counts -- on realistic vectors (gathered over
-// the whole cc registry), on the committed golden model, and on both the
-// quantized (float32 threshold arena) and unquantized batched paths. The
-// block paths threaded through engine/service/flow/eval lean entirely on
+// the whole cc registry), on the committed golden model, and on forests
+// with coarse-grid and arbitrary split thresholds. The block paths threaded through engine/service/flow/eval lean entirely on
 // this property: grouping samples into blocks must never change a result.
 
 // registryVectors gathers one probe per registered CAAI algorithm against
@@ -107,20 +106,19 @@ func TestClassifyBatchMatchesScalarOnGoldenModel(t *testing.T) {
 	assertBatchEquivalence(t, f, registryVectors(t))
 }
 
-// TestClassifyBatchMatchesScalarQuantization runs the property on both
-// batched arenas: a forest whose split thresholds are all exactly
-// representable in float32 (trained on a coarse dyadic grid, so the
-// quantized arena is built) and one trained on arbitrary float64s (so it
-// is not).
+// TestClassifyBatchMatchesScalarQuantization runs the property on two
+// threshold regimes: a forest trained on a coarse dyadic grid, whose split
+// thresholds are exactly representable in float32 ("quantized"), and one
+// trained on arbitrary float64s ("unquantized").
 func TestClassifyBatchMatchesScalarQuantization(t *testing.T) {
 	vecs := registryVectors(t)
-	train := func(name string, quantize bool) *forest.Forest {
+	train := func(dyadic bool) *forest.Forest {
 		rng := rand.New(rand.NewSource(31415))
 		var samples []forest.Sample
 		for i := 0; i < 320; i++ {
 			fs := make([]float64, feature.NumFeatures)
 			for d := range fs {
-				if quantize {
+				if dyadic {
 					// k/512 grid: split midpoints land on k/1024, exactly
 					// representable in float32.
 					fs[d] = float64(rng.Intn(4096)) / 512
@@ -134,16 +132,12 @@ func TestClassifyBatchMatchesScalarQuantization(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := forest.Train(ds, forest.Config{Trees: 31, Subspace: 3, Seed: 92653})
-		if f.Quantized() != quantize {
-			t.Fatalf("%s: Quantized() = %v, want %v", name, f.Quantized(), quantize)
-		}
-		return f
+		return forest.Train(ds, forest.Config{Trees: 31, Subspace: 3, Seed: 92653})
 	}
 	t.Run("quantized", func(t *testing.T) {
-		assertBatchEquivalence(t, train("quantized", true), vecs)
+		assertBatchEquivalence(t, train(true), vecs)
 	})
 	t.Run("unquantized", func(t *testing.T) {
-		assertBatchEquivalence(t, train("unquantized", false), vecs)
+		assertBatchEquivalence(t, train(false), vecs)
 	})
 }

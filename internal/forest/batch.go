@@ -11,13 +11,12 @@ import (
 //
 // Layout. buildBatchArena derives two parallel arrays from the scalar
 // arena: meta[i] packs (leftChild << featShift) | feature into one int32,
-// and bthr[i] holds the split threshold (float64, plus a float32 shadow
-// bthr32 when quantization is lossless). The breadth-first layout
+// and bthr[i] holds the float64 split threshold. The breadth-first layout
 // guarantees a node's children are adjacent (right == left+1), so a single
-// child index suffices and the per-node working set is 12 bytes (8 with
-// quantized thresholds) -- small enough that the quick-scale model's trees
-// sit in L1 and the full-scale model in L2. Leaves carry meta = i<<shift
-// (a self-loop with feature 0) and bthr = +Inf.
+// child index suffices and the per-node working set is 12 bytes -- small
+// enough that the quick-scale model's trees sit in L1 and the full-scale
+// model in L2. Leaves carry meta = i<<shift (a self-loop with feature 0)
+// and bthr = +Inf.
 //
 // Advance. For a lane at node i with feature value x the next node is
 //
@@ -43,9 +42,10 @@ import (
 // lanes and retires a lane the moment it self-loops (ni == i), swapping
 // the last live lane into its slot. Total advances equal the sum of
 // actual path lengths (+1 self-loop detect per lane), the same work the
-// scalar walk does -- but the lanes are independent, so the CPU overlaps
-// their load chains instead of stalling on one dependent walk per sample.
-// The retire branch is taken once per lane per tree and predicts well.
+// scalar walk does -- but the lanes are independent, so the CPU may
+// overlap their load chains. The per-advance bookkeeping is not free: on
+// a 2-core AVX-512 Xeon the kernel measures slower per sample than the
+// scalar walk (DESIGN.md §8.4).
 
 // BatchScratch holds the reusable buffers for one in-flight VotesBatch /
 // ClassifyBatchInto call. The zero value is ready to use; buffers grow to
@@ -57,12 +57,6 @@ type BatchScratch struct {
 	lane  []int32   // sample index per live lane (compacted with idx)
 	votes []int32   // per-sample per-class tallies, m*numClasses
 	sv    []int     // scalar-fallback vote buffer
-
-	// Reach-mask sweep buffers (sweep.go).
-	xT     []float64 // feature-major 64-lane chunk, width*64
-	reach  []uint64  // per-node lane-occupancy masks, maxTreeNodes
-	cmask  []uint64  // per-class leaf-lane masks for one tree
-	votes8 []uint8   // per-class 64-lane byte vote counters, numClasses*64
 }
 
 func growI32(s []int32, n int) []int32 {
@@ -79,8 +73,8 @@ func growF64(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// buildBatchArena derives the packed batch mirror (meta/bthr/bthr32) from
-// the scalar arena. It must run after the scalar arrays are final and in
+// buildBatchArena derives the packed batch mirror (meta/bthr) from the
+// scalar arena. It must run after the scalar arrays are final and in
 // breadth-first order. When the model cannot be packed -- zero feature
 // width, a child index too large for the packed field, or a threshold at
 // or beyond ±MaxFloat64 (where gather-time sanitization would diverge
@@ -101,7 +95,6 @@ func (f *Forest) buildBatchArena() {
 	}
 	meta := make([]int32, total)
 	bthr := make([]float64, total)
-	exact32 := true
 	for i, fi := range f.feat {
 		if fi < 0 {
 			meta[i] = int32(i) << shift
@@ -114,84 +107,12 @@ func (f *Forest) buildBatchArena() {
 		}
 		meta[i] = f.kids[2*i]<<shift | fi
 		bthr[i] = t
-		if exact32 && float64(float32(t)) != t {
-			exact32 = false
-		}
 	}
 	f.featShift = shift
 	f.meta = meta
 	f.bthr = bthr
 	f.batchable = true
-
-	f.buildSweepArena()
-	if exact32 {
-		f.bthr32 = make([]float32, total)
-		for i, t := range bthr {
-			f.bthr32[i] = float32(t)
-		}
-	}
 }
-
-// buildSweepArena derives the split-stream encoding the assembly sweep
-// kernel consumes (see the Forest field comments and sweep.go). Internal
-// nodes and leaves go into separate per-tree runs so the kernel's inner
-// loops are branch-free; the feature index is pre-scaled to its byte-row
-// offset in the 64-lane feature-major block (feature * 64 * 8) so the
-// kernel masks it out ready to use. Must run after the scalar arena is
-// final; bails (istarts stays nil, portable kernel serves all batches) if
-// a packed field would overflow its 32-bit word.
-func (f *Forest) buildSweepArena() {
-	shift := f.featShift + 9 // child field sits above feature*512
-	if shift >= 31 {
-		return
-	}
-	nt := len(f.starts) - 1
-	total := len(f.feat)
-	nodes := make([]uint64, 0, total)
-	thrs := make([]float64, 0, total)
-	leaves := make([]uint64, 0, total)
-	istarts := make([]int32, nt+1)
-	lstarts := make([]int32, nt+1)
-	maxTree := 0
-	for t := 0; t < nt; t++ {
-		istarts[t] = int32(len(nodes))
-		lstarts[t] = int32(len(leaves))
-		root := f.starts[t]
-		n := int(f.starts[t+1] - root)
-		if n > maxTree {
-			maxTree = n
-		}
-		for j := int32(0); j < int32(n); j++ {
-			i := root + j
-			if f.feat[i] < 0 {
-				leaves = append(leaves, uint64(uint32(j))|uint64(uint32(f.labels[i]))<<32)
-				continue
-			}
-			child := f.kids[2*i] - root
-			if uint32(child) >= 1<<(32-shift) {
-				return
-			}
-			word := uint32(child)<<shift | uint32(f.feat[i])<<9
-			nodes = append(nodes, uint64(uint32(j))|uint64(word)<<32)
-			thrs = append(thrs, f.thr[i])
-		}
-	}
-	istarts[nt] = int32(len(nodes))
-	lstarts[nt] = int32(len(leaves))
-	f.sweepNodes = nodes
-	f.sweepThr = thrs
-	f.sweepLeaves = leaves
-	f.istarts = istarts
-	f.lstarts = lstarts
-	f.sweepShift = shift
-	f.maxTreeNodes = maxTree
-}
-
-// Quantized reports whether the batched path evaluates float32 thresholds.
-// True only when every split threshold in the model is exactly
-// representable in float32, which makes the quantization lossless: the
-// float32 compare is bit-identical to the float64 one for every input.
-func (f *Forest) Quantized() bool { return f.bthr32 != nil }
 
 // batchMin is the block size below which ClassifyBatchInto uses the scalar
 // walk: tiny blocks cannot amortize the gather and per-tree lane resets.
@@ -251,10 +172,6 @@ func (f *Forest) votesScalarFallback(dst []int32, vecs [][]float64, sc *BatchScr
 
 // votesBatch is the packed-arena kernel. dst must be zeroed m*nc.
 func (f *Forest) votesBatch(dst []int32, vecs [][]float64, sc *BatchScratch) {
-	if f.useSweep() {
-		f.votesSweep(dst, vecs, sc)
-		return
-	}
 	m := len(vecs)
 	nc := len(f.classes)
 	w := f.width
@@ -296,21 +213,9 @@ func (f *Forest) votesBatch(dst []int32, vecs [][]float64, sc *BatchScratch) {
 		return
 	}
 
-	meta := f.meta
-	labels := f.labels
+	meta, bthr, labels := f.meta, f.bthr, f.labels
 	shift := f.featShift
 	featMask := int32(1)<<shift - 1
-
-	if f.bthr32 != nil {
-		f.sweep32(dst, block, idx, lane, live, meta, labels, shift, featMask, nc, w)
-		return
-	}
-	f.sweep64(dst, block, idx, lane, live, meta, labels, shift, featMask, nc, w)
-}
-
-// sweep64 walks every tree for the live lanes against float64 thresholds.
-func (f *Forest) sweep64(dst []int32, block []float64, idx, lane []int32, live int32, meta, labels []int32, shift uint32, featMask int32, nc, w int) {
-	bthr := f.bthr
 	for t := 0; t < len(f.starts)-1; t++ {
 		root := f.starts[t]
 		// Reset the lane worklist; compaction below destroys its order,
@@ -325,38 +230,6 @@ func (f *Forest) sweep64(dst []int32, block []float64, idx, lane []int32, live i
 				mt := meta[i]
 				x := block[int(lane[k])*w+int(mt&featMask)]
 				b := int32(math.Float64bits(bthr[i]-x) >> 63)
-				ni := mt>>shift + b
-				if ni == i {
-					dst[int(lane[k])*nc+int(labels[i])]++
-					active--
-					idx[k] = idx[active]
-					lane[k], lane[active] = lane[active], lane[k]
-					continue
-				}
-				idx[k] = ni
-				k++
-			}
-		}
-	}
-}
-
-// sweep32 is sweep64 against the quantized float32 threshold arena. The
-// compare widens the threshold back to float64, which is exact, so
-// routing is bit-identical to sweep64 whenever bthr32 exists.
-func (f *Forest) sweep32(dst []int32, block []float64, idx, lane []int32, live int32, meta, labels []int32, shift uint32, featMask int32, nc, w int) {
-	bthr := f.bthr32
-	for t := 0; t < len(f.starts)-1; t++ {
-		root := f.starts[t]
-		for k := int32(0); k < live; k++ {
-			idx[k] = root
-		}
-		active := live
-		for active > 0 {
-			for k := int32(0); k < active; {
-				i := idx[k]
-				mt := meta[i]
-				x := block[int(lane[k])*w+int(mt&featMask)]
-				b := int32(math.Float64bits(float64(bthr[i])-x) >> 63)
 				ni := mt>>shift + b
 				if ni == i {
 					dst[int(lane[k])*nc+int(labels[i])]++

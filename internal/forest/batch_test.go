@@ -11,7 +11,7 @@ import (
 // block: labels, confidences, and vote counts must be bit-identical to
 // per-vector Classify/Votes, including short vectors and non-finite
 // features.
-func assertBatchMatchesScalar(t *testing.T, f *Forest, vecs [][]float64) {
+func assertBatchMatchesScalar(t testing.TB, f *Forest, vecs [][]float64) {
 	t.Helper()
 	m := len(vecs)
 	labels := make([]string, m)
@@ -24,7 +24,7 @@ func assertBatchMatchesScalar(t *testing.T, f *Forest, vecs [][]float64) {
 	}
 	for i, v := range vecs {
 		wantLabel, wantConf := f.Classify(v)
-		if labels[i] != wantLabel || confs[i] != wantConf {
+		if labels[i] != wantLabel || math.Float64bits(confs[i]) != math.Float64bits(wantConf) {
 			t.Fatalf("vec %d: batch (%s, %v) != scalar (%s, %v)", i, labels[i], confs[i], wantLabel, wantConf)
 		}
 		sv := f.Votes(v)
@@ -71,6 +71,9 @@ func randomBlock(rng *rand.Rand, m, width int) [][]float64 {
 	return vecs
 }
 
+// TestClassifyBatchMatchesScalar pins the batched kernel against the
+// scalar walk on hostile random blocks: blocks below batchMin exercise the
+// scalar fallback inside ClassifyBatchInto, larger ones the packed kernel.
 func TestClassifyBatchMatchesScalar(t *testing.T) {
 	ds := clusterDataset(t, 40, 101)
 	f := Train(ds, Config{Trees: 31, Subspace: 2, Seed: 102})
@@ -78,17 +81,27 @@ func TestClassifyBatchMatchesScalar(t *testing.T) {
 		t.Fatal("trained model must be batchable")
 	}
 	rng := rand.New(rand.NewSource(103))
-	// Blocks below batchMin exercise the scalar fallback inside
-	// ClassifyBatchInto; larger ones the packed kernel.
 	for _, m := range []int{0, 1, 2, 3, 4, 5, 7, 8, 16, 33, 64, 129} {
 		assertBatchMatchesScalar(t, f, randomBlock(rng, m, 3))
 	}
 }
 
+// TestPortableKernelMatchesScalar pins the portable kernel, the only
+// batched kernel, against the scalar walk on a second forest, with single
+// and partial 64-vector chunks and blocks spanning several.
+func TestPortableKernelMatchesScalar(t *testing.T) {
+	ds := clusterDataset(t, 40, 301)
+	f := Train(ds, Config{Trees: 31, Subspace: 2, Seed: 302})
+	rng := rand.New(rand.NewSource(303))
+	for _, m := range []int{4, 8, 33, 64, 129} {
+		assertBatchMatchesScalar(t, f, randomBlock(rng, m, 3))
+	}
+}
+
 // dyadicDataset builds a dataset whose feature values sit on a k/4 grid,
-// which makes every split threshold (a midpoint, so on the k/8 grid)
-// exactly representable in float32 -- the lossless-quantization case.
-func dyadicDataset(t *testing.T, n int, seed int64) *Dataset {
+// so every split threshold (a midpoint) sits on the k/8 grid and inputs
+// drawn from that grid hit thresholds exactly.
+func dyadicDataset(t testing.TB, n int, seed int64) *Dataset {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	labels := []string{"x", "y", "z"}
@@ -109,17 +122,19 @@ func dyadicDataset(t *testing.T, n int, seed int64) *Dataset {
 	return ds
 }
 
+// TestClassifyBatchQuantizedMatchesScalar runs the batch/scalar contract
+// on a dyadic forest, whose thresholds all sit on the k/8 grid, with some
+// features landing exactly on that grid so the x == thr tie-break goes
+// through both paths.
 func TestClassifyBatchQuantizedMatchesScalar(t *testing.T) {
 	ds := dyadicDataset(t, 50, 104)
 	f := Train(ds, Config{Trees: 25, Subspace: 2, Seed: 105})
-	if !f.Quantized() {
-		t.Fatal("dyadic thresholds must quantize losslessly to float32")
+	if !f.batchable {
+		t.Fatal("trained model must be batchable")
 	}
 	rng := rand.New(rand.NewSource(106))
 	for _, m := range []int{1, 4, 16, 64, 100} {
 		vecs := randomBlock(rng, m, 4)
-		// Land some features exactly on the threshold grid (k/8) so the
-		// x == thr tie-break goes through both paths.
 		for _, v := range vecs {
 			for d := range v {
 				if rng.Intn(3) == 0 {
@@ -132,13 +147,10 @@ func TestClassifyBatchQuantizedMatchesScalar(t *testing.T) {
 }
 
 func TestClassifyBatchUnquantizedModel(t *testing.T) {
-	// Gaussian features give midpoint thresholds that essentially never
-	// round-trip float32, pinning the float64 kernel specifically.
+	// Gaussian features give midpoint thresholds off any coarse grid, so
+	// the sign-bit select sees arbitrary float64 differences.
 	ds := clusterDataset(t, 40, 107)
 	f := Train(ds, Config{Trees: 20, Subspace: 2, Seed: 108})
-	if f.Quantized() {
-		t.Skip("model unexpectedly quantized; float64 path covered elsewhere")
-	}
 	rng := rand.New(rand.NewSource(109))
 	assertBatchMatchesScalar(t, f, randomBlock(rng, 64, 3))
 }
@@ -213,7 +225,7 @@ func TestSaveLoadSaveIsIdempotent(t *testing.T) {
 	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
 		t.Fatal("Save -> Load -> Save changed the document; level-order layout is not canonical")
 	}
-	if g.batchable != f.batchable || g.Quantized() != f.Quantized() {
+	if g.batchable != f.batchable {
 		t.Fatal("Load must rebuild the same batch arena capabilities")
 	}
 }

@@ -129,10 +129,9 @@ const leafMarker = int32(-1)
 // The breadth-first order places a node's two children adjacently
 // (kids[2i+1] == kids[2i]+1, a BFS invariant), which is what the batched
 // kernel in batch.go exploits: it stores each node as one packed int32
-// (left-child index and split feature) plus one threshold, so a block of
-// feature vectors advances through a tree level by level with branch-free
-// compares. See buildBatchArena for the packed mirror and the optional
-// float32 threshold quantization.
+// (left-child index and split feature) plus one float64 threshold, so a
+// block of feature vectors advances through the trees with branch-free
+// compares. See buildBatchArena for the packed mirror.
 type Forest struct {
 	classes []string
 	// width is the feature-vector length the trees index into; VotesInto
@@ -148,37 +147,13 @@ type Forest struct {
 
 	// Batched-inference mirror of the arena (see batch.go). meta packs
 	// left-child-index<<featShift | feature per node; bthr mirrors thr
-	// with +Inf at leaves so leaves self-select branch-free; bthr32 is the
-	// quantized threshold arena, built only when every split threshold is
-	// exactly representable in float32 (lossless by construction). depth
-	// is the per-tree level count. batchable gates the kernel: a model the
-	// packed encoding cannot represent falls back to the scalar walk.
+	// with +Inf at leaves so leaves self-select branch-free. batchable
+	// gates the kernel: a model the packed encoding cannot represent
+	// falls back to the scalar walk.
 	meta      []int32
 	bthr      []float64
-	bthr32    []float32
-	depth     []int32
 	featShift uint32
 	batchable bool
-
-	// Sweep-kernel arenas (sweep.go). The assembly kernel streams a
-	// tree's internal nodes and its leaves as two separate runs so
-	// neither inner loop carries a leaf-vs-internal branch. sweepNodes[j]
-	// packs an internal node's tree-local index (low 32 bits) with its
-	// routing word (high 32 bits: tree-local left child << sweepShift |
-	// feature byte-row offset); sweepThr holds the matching split
-	// thresholds, loaded sequentially. sweepLeaves[j] packs a leaf's
-	// tree-local index (low 32) with its class label (high 32).
-	// istarts/lstarts delimit each tree's run; maxTreeNodes bounds the
-	// per-tree reach-mask scratch. istarts is nil when the model is not
-	// batchable or a packed field would overflow (the portable kernel
-	// then serves every batch).
-	sweepNodes   []uint64
-	sweepThr     []float64
-	sweepLeaves  []uint64
-	istarts      []int32
-	lstarts      []int32
-	sweepShift   uint32
-	maxTreeNodes int
 }
 
 // flatten fuses per-tree node slices into the arena, re-laying every tree
@@ -191,7 +166,7 @@ type Forest struct {
 func flatten(classes []string, width int, trees [][]treeNode) *Forest {
 	// Pass 1: breadth-first order per tree. orders[t] lists tree-local
 	// node ids in visit order; pos maps node id -> BFS position within
-	// its tree; level holds the depth of orders[t][k].
+	// its tree.
 	maxTree := 0
 	for _, nodes := range trees {
 		if len(nodes) > maxTree {
@@ -200,13 +175,11 @@ func flatten(classes []string, width int, trees [][]treeNode) *Forest {
 	}
 	orders := make([][]int32, len(trees))
 	pos := make([]int32, maxTree)
-	level := make([]int32, maxTree)
-	depth := make([]int32, len(trees))
 	total := 0
 	for t, nodes := range trees {
 		order := make([]int32, 0, len(nodes))
 		order = append(order, 0)
-		pos[0], level[0] = 0, 0
+		pos[0] = 0
 		for k := 0; k < len(order); k++ {
 			n := &nodes[order[k]]
 			if n.leaf {
@@ -215,13 +188,10 @@ func flatten(classes []string, width int, trees [][]treeNode) *Forest {
 			// Children are appended consecutively, which is what makes
 			// kids[2i+1] == kids[2i]+1 hold arena-wide.
 			pos[n.left] = int32(len(order))
-			level[len(order)] = level[k] + 1
 			order = append(order, n.left)
 			pos[n.right] = int32(len(order))
-			level[len(order)] = level[k] + 1
 			order = append(order, n.right)
 		}
-		depth[t] = level[len(order)-1] + 1
 		orders[t] = order
 		total += len(order)
 
@@ -243,7 +213,6 @@ func flatten(classes []string, width int, trees [][]treeNode) *Forest {
 		kids:    make([]int32, 2*total),
 		labels:  make([]int32, total),
 		starts:  make([]int32, len(trees)+1),
-		depth:   depth,
 	}
 	off := int32(0)
 	for t, nodes := range trees {

@@ -8,7 +8,7 @@ import (
 )
 
 // clusterDataset builds an easily separable three-class dataset.
-func clusterDataset(t *testing.T, n int, seed int64) *Dataset {
+func clusterDataset(t testing.TB, n int, seed int64) *Dataset {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	centers := map[string][]float64{
