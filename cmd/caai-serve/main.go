@@ -224,6 +224,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 	srv := &http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second}
+	srv.RegisterOnShutdown(svc.StopWaits) // parked ?wait= polls answer now
 	fmt.Fprintf(stdout, "caai-serve: listening on http://%s (models: %s)\n", ln.Addr(), strings.Join(reg.Names(), ", "))
 	if *pprofOn {
 		fmt.Fprintf(stdout, "caai-serve: pprof enabled at http://%s/debug/pprof/\n", ln.Addr())

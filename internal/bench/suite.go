@@ -200,8 +200,9 @@ func IdentifyBatch(model classify.Classifier, jobs int) func(*testing.B) {
 }
 
 // ServiceBatchBlocks measures the async batch queue end to end: POST
-// /v1/batch with jobs all-miss specs, then poll GET /v1/jobs/{id} until
-// the worker has coalesced the queue into inference blocks and finished.
+// /v1/batch with jobs all-miss specs, then long-poll GET
+// /v1/jobs/{id}?wait= until the worker has coalesced the queue into
+// inference blocks and finished.
 // One op is one whole batch job; seeds vary per iteration so every spec
 // is a fresh probe through the block pipeline, never a cache replay.
 func ServiceBatchBlocks(model classify.Classifier, jobs int) func(*testing.B) {
@@ -237,7 +238,9 @@ func ServiceBatchBlocks(model classify.Classifier, jobs int) func(*testing.B) {
 				b.Fatal(err)
 			}
 			for {
-				req = httptest.NewRequest(http.MethodGet, "/v1/jobs/"+acc.JobID, nil)
+				// Long-poll: one GET that answers when the job ends, so
+				// the op's allocations do not scale with spare cores.
+				req = httptest.NewRequest(http.MethodGet, "/v1/jobs/"+acc.JobID+"?wait=30s", nil)
 				rec = httptest.NewRecorder()
 				h.ServeHTTP(rec, req)
 				var st service.JobStatus
@@ -253,7 +256,6 @@ func ServiceBatchBlocks(model classify.Classifier, jobs int) func(*testing.B) {
 				if st.State == service.StateFailed || st.State == service.StateCancelled {
 					b.Fatalf("job ended %s: %s", st.State, st.Error)
 				}
-				time.Sleep(50 * time.Microsecond)
 			}
 		}
 		b.ReportMetric(float64(jobs), "jobs/op")

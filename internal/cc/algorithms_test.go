@@ -223,6 +223,28 @@ func TestHSTCPResponseFunction(t *testing.T) {
 	}
 }
 
+// TestHSTCPHoistedLogsBitIdentical: a(w) and b(w) with the hoisted log
+// constants equal, bit for bit, the closed forms evaluated with every
+// math.Log call inline.
+func TestHSTCPHoistedLogsBitIdentical(t *testing.T) {
+	for w := 30.0; w < 90000; w = w*1.01 + 0.37 {
+		logRatio := (math.Log(w) - math.Log(hstcpLowWindow)) /
+			(math.Log(hstcpHighWindow) - math.Log(hstcpLowWindow))
+		wantB := hstcpLowB + (hstcpHighB-hstcpLowB)*logRatio
+		wantA := w * w * (0.078 / math.Pow(w, 1.2)) * 2 * wantB / (2 - wantB)
+		if wantA < 1 {
+			wantA = 1
+		}
+		if w <= hstcpLowWindow {
+			wantA, wantB = 1, hstcpLowB
+		}
+		a, b := hstcpAB(w)
+		if math.Float64bits(a) != math.Float64bits(wantA) || math.Float64bits(b) != math.Float64bits(wantB) {
+			t.Fatalf("hstcpAB(%v) = %v, %v; inline logs give %v, %v", w, a, b, wantA, wantB)
+		}
+	}
+}
+
 func TestBICBinarySearchPhases(t *testing.T) {
 	alg := NewBIC()
 	c := newConnInCA(512)

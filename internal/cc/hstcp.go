@@ -14,6 +14,14 @@ const (
 	hstcpHighB      = 0.1
 )
 
+// The log-window interpolation's constant terms, hoisted out of the
+// per-ACK hstcpAB with the very math.Log calls it used to make, so every
+// a(w) and b(w) stays bit-identical.
+var (
+	hstcpLogLow  = math.Log(hstcpLowWindow)
+	hstcpLogSpan = math.Log(hstcpHighWindow) - math.Log(hstcpLowWindow)
+)
+
 // HSTCP is HighSpeed TCP (Floyd, RFC 3649; Linux tcp_highspeed.c): the
 // additive increase a(w) and multiplicative decrease b(w) scale with the
 // current window so large windows recover quickly. For windows at or below
@@ -38,8 +46,7 @@ func hstcpAB(w float64) (a, b float64) {
 	if w <= hstcpLowWindow {
 		return 1, hstcpLowB
 	}
-	logRatio := (math.Log(w) - math.Log(hstcpLowWindow)) /
-		(math.Log(hstcpHighWindow) - math.Log(hstcpLowWindow))
+	logRatio := (math.Log(w) - hstcpLogLow) / hstcpLogSpan
 	b = hstcpLowB + (hstcpHighB-hstcpLowB)*logRatio
 	// RFC 3649 response function: p(w) = 0.078/w^1.2, and
 	// a(w) = w^2 * p(w) * 2*b(w) / (2 - b(w)).

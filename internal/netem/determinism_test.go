@@ -96,25 +96,28 @@ func TestPathResetRestoresGoodState(t *testing.T) {
 }
 
 // TestUnimpairedPathMatchesCondition: without extended knobs a Path is
-// draw-for-draw identical to Condition.Drop — the bit-stability contract
+// draw-for-draw identical to the float form of the condition's uniform
+// loss, rng.Float64() < LossRate (floatDrop) — the bit-stability contract
 // the probe hot path relies on.
 func TestUnimpairedPathMatchesCondition(t *testing.T) {
 	cond := Condition{LossRate: 0.1}
 	r1, r2 := xrand.New(99), xrand.New(99)
 	p := NewPath(cond)
 	for i := 0; i < 2048; i++ {
-		if p.Drop(r1) != cond.Drop(r2) {
-			t.Fatalf("draw %d diverged from Condition.Drop", i)
+		if p.Drop(r1) != floatDrop(cond, r2) {
+			t.Fatalf("draw %d diverged from the float loss draw", i)
 		}
 	}
 	if r1.Uint64() != r2.Uint64() {
-		t.Fatal("Path.Drop consumed a different number of draws than Condition.Drop")
+		t.Fatal("Path.Drop consumed a different number of draws than the float loss draw")
 	}
-	if cond.Impaired() {
+	if cond.Impaired() || p.Impaired() {
 		t.Fatal("plain loss must not count as impaired")
 	}
-	if !(Condition{ReorderRate: 0.1}).Impaired() || !(Condition{DupRate: 0.1}).Impaired() || !(Condition{GEBadLoss: 0.1}).Impaired() {
-		t.Fatal("extended knobs must count as impaired")
+	for _, c := range []Condition{{ReorderRate: 0.1}, {DupRate: 0.1}, {GEBadLoss: 0.1}} {
+		if !c.Impaired() || !NewPath(c).Impaired() {
+			t.Fatal("extended knobs must count as impaired")
+		}
 	}
 }
 

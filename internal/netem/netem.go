@@ -9,6 +9,7 @@ package netem
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -167,71 +168,128 @@ func (c Condition) Jitter(rng *rand.Rand, emulated time.Duration) time.Duration 
 	return j
 }
 
-// Drop reports whether a single packet is lost under this condition's
-// uniform loss model. Burst-losing paths must go through a Path, which
-// carries the Gilbert–Elliott channel state.
-func (c Condition) Drop(rng *rand.Rand) bool {
-	return c.LossRate > 0 && rng.Float64() < c.LossRate
-}
-
 // Path is the stateful view of a Condition for one connection: it carries
 // the Gilbert–Elliott channel state that Condition, being an immutable
-// shared value, cannot. A zero Path is unusable; call Reset before a
-// gathering (the prober resets its Path per connection). Not safe for
-// concurrent use.
+// shared value, cannot, plus the condition's probabilities recast as
+// integer Bernoulli thresholds (see threshold). A zero Path is unusable;
+// call Reset before a gathering (the prober resets its Path per
+// connection). Not safe for concurrent use.
 type Path struct {
-	cond Condition
-	bad  bool // current Gilbert–Elliott channel state
+	cond     Condition
+	impaired bool // cond.Impaired(), cached for the per-round check
+	bad      bool // current Gilbert–Elliott channel state
+
+	loss, dup, reorder                  threshold
+	goodBad, badGood, goodLoss, badLoss threshold
 }
 
 // NewPath returns a path over cond, starting in the good state.
 func NewPath(cond Condition) *Path {
-	return &Path{cond: cond}
+	p := new(Path)
+	p.Reset(cond)
+	return p
 }
 
 // Reset re-points the path at cond and returns the channel to the good
-// state, as a fresh connection would see it.
+// state, as a fresh connection would see it. It computes every
+// probability's threshold once, so per-packet draws are one compare.
 func (p *Path) Reset(cond Condition) {
-	p.cond = cond
-	p.bad = false
+	*p = Path{
+		cond:     cond,
+		impaired: cond.Impaired(),
+		loss:     newThreshold(cond.LossRate),
+		dup:      newThreshold(cond.DupRate),
+		reorder:  newThreshold(cond.ReorderRate),
+		goodBad:  newThreshold(cond.GEPGoodBad),
+		badGood:  newThreshold(cond.GEPBadGood),
+		goodLoss: newThreshold(cond.GEGoodLoss),
+		badLoss:  newThreshold(cond.GEBadLoss),
+	}
 }
 
 // Cond returns the condition the path is replaying.
 func (p *Path) Cond() Condition { return p.cond }
 
+// Impaired reports Cond().Impaired() without copying the condition.
+func (p *Path) Impaired() bool { return p.impaired }
+
 // Drop reports whether a single packet is lost. With a Gilbert–Elliott
 // model configured it first advances the channel state (one draw), then
-// draws the state's loss rate; otherwise it is exactly Condition.Drop —
-// same draws, same outcomes.
+// draws the state's loss rate; otherwise it draws the uniform LossRate.
 func (p *Path) Drop(rng *rand.Rand) bool {
-	c := &p.cond
-	if c.GEBadLoss <= 0 {
-		return c.Drop(rng)
+	if p.cond.GEBadLoss <= 0 {
+		return p.loss.draw(rng)
 	}
 	if p.bad {
-		if c.GEPBadGood > 0 && rng.Float64() < c.GEPBadGood {
+		if p.badGood.draw(rng) {
 			p.bad = false
 		}
-	} else {
-		if c.GEPGoodBad > 0 && rng.Float64() < c.GEPGoodBad {
-			p.bad = true
-		}
+	} else if p.goodBad.draw(rng) {
+		p.bad = true
 	}
-	loss := c.GEGoodLoss
 	if p.bad {
-		loss = c.GEBadLoss
+		return p.badLoss.draw(rng)
 	}
-	return loss > 0 && rng.Float64() < loss
+	return p.goodLoss.draw(rng)
 }
 
 // Dup reports whether a data packet is duplicated. It draws from rng only
 // when duplication is configured, so plain conditions keep their streams.
-func (p *Path) Dup(rng *rand.Rand) bool {
-	return p.cond.DupRate > 0 && rng.Float64() < p.cond.DupRate
-}
+func (p *Path) Dup(rng *rand.Rand) bool { return p.dup.draw(rng) }
 
 // Reorder reports whether a data packet is overtaken by its successor. It
 // draws from rng only when reordering is configured.
-func (p *Path) Reorder(rng *rand.Rand) bool {
-	return p.cond.ReorderRate > 0 && rng.Float64() < p.cond.ReorderRate
+func (p *Path) Reorder(rng *rand.Rand) bool { return p.reorder.draw(rng) }
+
+// threshold is a probability p recast as a cut on rand.Int63, so that
+// draw decides exactly what rng.Float64() < p decides, from exactly the
+// same draws of any rand.Source, with one integer compare in place of
+// Float64's conversion and divide. Float64 returns unitFloat(x) for
+// x = rng.Int63(), drawing again while that rounds up to 1; unitFloat is
+// monotone in x, so Float64() < p holds exactly when x is below the
+// smallest x whose unitFloat reaches p. Zero means p <= 0 or NaN, which
+// never draws.
+type threshold int64
+
+// retryAt is the smallest Int63 value that unitFloat rounds up to 1:
+// Float64 discards it and every larger value and draws again.
+var retryAt = firstAtLeast(1)
+
+// unitFloat is math/rand's Float64 mapping of one Int63 draw.
+func unitFloat(x int64) float64 { return float64(x) / (1 << 63) }
+
+// firstAtLeast returns the smallest x in [0, MaxInt64] with
+// unitFloat(x) >= p, or MaxInt64 when there is none (p > 1 or NaN). It
+// searches the float expression itself rather than inverting it, so
+// every rounding Float64 does is reproduced.
+func firstAtLeast(p float64) int64 {
+	lo, hi := int64(0), int64(math.MaxInt64)
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if unitFloat(mid) >= p {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// newThreshold returns p's threshold. Probabilities that every Float64
+// value lies below (p >= 1, +Inf) cut at retryAt: every kept draw passes.
+func newThreshold(p float64) threshold {
+	if !(p > 0) {
+		return 0
+	}
+	return threshold(min(firstAtLeast(p), retryAt))
+}
+
+// draw reports whether one Bernoulli trial succeeds: rng.Float64() < p.
+func (t threshold) draw(rng *rand.Rand) bool {
+	for t != 0 {
+		if x := rng.Int63(); x < retryAt {
+			return x < int64(t)
+		}
+	}
+	return false
 }

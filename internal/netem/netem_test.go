@@ -41,21 +41,23 @@ func TestLossCDFMassAtZero(t *testing.T) {
 	}
 }
 
+// TestConditionDrop: a path over zero loss never drops, over certain loss
+// always drops, and over loss 0.5 drops about half the packets.
 func TestConditionDrop(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	never := Condition{}
+	never := NewPath(Condition{})
 	for i := 0; i < 100; i++ {
 		if never.Drop(rng) {
 			t.Fatal("zero-loss condition dropped a packet")
 		}
 	}
-	always := Condition{LossRate: 1}
+	always := NewPath(Condition{LossRate: 1})
 	for i := 0; i < 100; i++ {
 		if !always.Drop(rng) {
 			t.Fatal("certain-loss condition passed a packet")
 		}
 	}
-	half := Condition{LossRate: 0.5}
+	half := NewPath(Condition{LossRate: 0.5})
 	drops := 0
 	const n = 20000
 	for i := 0; i < n; i++ {

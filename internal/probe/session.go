@@ -16,7 +16,7 @@ type sessionParams struct {
 	mss  int
 	// path is the single source of truth for the network condition: it
 	// carries both the immutable knobs (path.Cond()) and the per-
-	// connection burst-loss state.
+	// connection burst-loss state and draw thresholds.
 	path         *netem.Path
 	rng          *rand.Rand
 	maxPreRounds int
@@ -72,7 +72,7 @@ func (s *session) run(sender *tcpsim.Sender, t *trace.Trace, p sessionParams) ti
 // the timeout every ACK acknowledges all data received so far, which is
 // what instantly re-covers the pre-timeout burst during timeout recovery.
 func (s *session) receiveBurst(burst []tcpsim.Segment, asIfInOrder bool) (int, []int64) {
-	if s.p.path.Cond().Impaired() {
+	if s.p.path.Impaired() {
 		return s.receiveBurstImpaired(burst, asIfInOrder)
 	}
 	before := s.maxRecvSeq

@@ -21,7 +21,8 @@ import (
 //	POST /v1/pcap/stream    stream a live capture; NDJSON per-flow labels
 //	                        as flows close (no size cap; backpressured)
 //	POST /v1/census         launch a sharded census; 202 + job ID
-//	GET  /v1/jobs/{id}      poll batch status and results
+//	GET  /v1/jobs/{id}      poll batch status and results (?wait=5s
+//	                        long-polls until the job ends, up to 30s)
 //	DELETE /v1/jobs/{id}    cancel a queued or running batch
 //	GET  /v1/models         list registered models
 //	POST /v1/models/reload  hot-swap file-backed models from disk
@@ -191,15 +192,30 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, BatchAccepted{
 		JobID:  j.id,
 		Status: "/v1/jobs/" + j.id,
-		Total:  len(j.specs),
+		Total:  j.total,
 	})
 }
 
+// maxJobWait caps GET /v1/jobs/{id}?wait=.
+const maxJobWait = 30 * time.Second
+
+// handleJobStatus answers a job's status. With ?wait=<duration> (Go
+// syntax, capped at maxJobWait) it long-polls: it answers as soon as the
+// job reaches a terminal state, or with the then-current status once the
+// wait or the request ends.
 func (s *Service) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookupJob(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
 		return
+	}
+	if raw := r.URL.Query().Get("wait"); raw != "" {
+		d, err := time.ParseDuration(raw)
+		if err != nil || d < 0 {
+			writeError(w, http.StatusBadRequest, "wait=%q: want a non-negative duration such as 5s", raw)
+			return
+		}
+		s.waitJob(r.Context(), j, min(d, maxJobWait))
 	}
 	writeJSON(w, http.StatusOK, j.status())
 }

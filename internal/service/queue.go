@@ -54,6 +54,10 @@ type job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
+	// terminal is closed when the job first reaches a terminal state
+	// (done, failed or cancelled); GET /v1/jobs/{id}?wait= blocks on it.
+	terminal chan struct{}
+
 	mu        sync.Mutex
 	state     string
 	completed int
@@ -88,6 +92,7 @@ func (j *job) requestCancel() {
 	if j.state == StateQueued {
 		j.state = StateCancelled
 		j.errMsg = "cancelled before start"
+		j.endLocked()
 	}
 	j.mu.Unlock()
 }
@@ -112,13 +117,39 @@ func (j *job) fail(msg string) {
 		j.state = StateCancelled
 	}
 	j.errMsg = msg
+	j.endLocked()
 	j.mu.Unlock()
 }
 
 func (j *job) finish() {
 	j.mu.Lock()
 	j.state = StateDone
+	j.endLocked()
 	j.mu.Unlock()
+}
+
+// endLocked signals the job's first terminal state to waiters. A queued
+// job cancelled by DELETE is failed again when a worker retires it, so
+// the signal must tolerate a second call. j.mu must be held.
+func (j *job) endLocked() {
+	select {
+	case <-j.terminal:
+	default:
+		close(j.terminal)
+	}
+}
+
+// waitJob blocks until j reaches a terminal state, d elapses, ctx ends
+// or waits are stopped (StopWaits, Close), whichever comes first.
+func (s *Service) waitJob(ctx context.Context, j *job, d time.Duration) {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-j.terminal:
+	case <-t.C:
+	case <-ctx.Done():
+	case <-s.waits.Done():
+	}
 }
 
 // status snapshots the job for GET /v1/jobs/{id}. Results are included
@@ -176,6 +207,7 @@ func (s *Service) enqueue(ctx context.Context, j *job) (*job, error) {
 	j.trace = traceIDFrom(ctx)
 	j.ctx, j.cancel = context.WithCancel(s.ctx)
 	j.state = StateQueued
+	j.terminal = make(chan struct{})
 	if j.census == nil {
 		// Census jobs keep their outcomes in the coordinator; allocating
 		// a population-sized response slice here would only pin memory.
@@ -282,6 +314,11 @@ func (s *Service) finishJobTrace(j *job) {
 // stays bounded under steady batch traffic.
 func (s *Service) retire(j *job) {
 	s.finishJobTrace(j)
+	// A retained job answers status polls for a while yet; its input
+	// specs are no longer needed for that, so let them be collected.
+	j.mu.Lock()
+	j.specs = nil
+	j.mu.Unlock()
 	// Release the job's context registration on the service root context;
 	// without this every completed job would leak a cancelCtx node for
 	// the life of the process.

@@ -159,6 +159,10 @@ type Service struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
+	// waits ends every GET /v1/jobs/{id}?wait= long-poll when cancelled
+	// (StopWaits, or Close through ctx).
+	waits    context.Context
+	endWaits context.CancelFunc
 
 	// closeMu orders submissions against Close: submit enqueues under the
 	// read lock, Close flips closed under the write lock, so every
@@ -195,6 +199,7 @@ func New(reg *Registry, cfg Config) *Service {
 		ctx:       ctx,
 		cancel:    cancel,
 	}
+	s.waits, s.endWaits = context.WithCancel(ctx)
 	for w := 0; w < cfg.Workers; w++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -238,6 +243,12 @@ func (s *Service) Close() {
 	s.wg.Wait()
 	s.flight.Close()
 }
+
+// StopWaits makes every pending and future GET /v1/jobs/{id}?wait=
+// answer at once with the job's current status. Register it with
+// http.Server.RegisterOnShutdown so parked long-polls do not hold a
+// graceful shutdown for up to their whole wait.
+func (s *Service) StopWaits() { s.endWaits() }
 
 // Traces exposes the flight recorder (read-only surface for tooling and
 // tests; the HTTP handlers go through it too).
